@@ -14,6 +14,8 @@ import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional
 
+from .graphs import graph6_bit_stream
+
 #: Environment variable naming the default cache file.
 CACHE_ENV_VAR = "EXPODOM_CACHE"
 
@@ -38,8 +40,7 @@ class CacheRecord:
         if len(parts) != 4:
             raise ValueError(f"expected 4 fields, got {len(parts)}")
         g6, *vals = parts
-        if not g6:
-            raise ValueError("empty graph6 key")
+        graph6_bit_stream(g6)  # a key that is not graph6 is a bad line
         a, b, c = (int(v) for v in vals)
         return CacheRecord(g6, a, b, c)
 

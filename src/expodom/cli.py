@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import closing
 from typing import Optional
 
 from . import __version__
@@ -18,16 +19,12 @@ from .enumeration import connected_graphs, read_graph6_stream, trees
 from .graphs import Graph, Graph6Error, SizeCapError, decode_graph6, \
     encode_graph6, from_edge_list
 from .hereditary import (
+    SWEEPS,
     ClassKind,
-    DEFAULT_MAX_N,
     ParamStore,
-    find_minimal_forbidden,
     in_class,
     levels_from_graphs,
-    probe_conjecture3,
-    verify_corollary1,
-    verify_corollary2,
-    verify_theorem1,
+    minimal_spec,
 )
 from .patterns import find_any_pattern, pattern_names
 
@@ -35,12 +32,9 @@ from .patterns import find_any_pattern, pattern_names
 #: CLI call; refuse instead of hanging.
 PARAMS_ORDER_CAP = 20
 
-_SWEEPS = {
-    "theorem1": verify_theorem1,
-    "corollary1": verify_corollary1,
-    "corollary2": verify_corollary2,
-    "conjecture3": probe_conjecture3,
-}
+#: What `verify` calls per sweep name; a separate mapping so that a caller
+#: can wrap a sweep without touching the table (bench/tracer.py does).
+_SWEEPS = {name: spec.run for name, spec in SWEEPS.items()}
 
 
 def _read_edge_list(path: str, n: Optional[int]) -> Graph:
@@ -171,47 +165,28 @@ def _make_store(args) -> ParamStore:
 
 
 def cmd_verify(args) -> int:
-    sweep = _SWEEPS[args.sweep]
-    max_n = args.max_n if args.max_n is not None else DEFAULT_MAX_N[args.sweep]
-    store = _make_store(args)
-    source = None
-    if args.graphs:
-        with open(args.graphs, "r", encoding="ascii") as fh:
-            external = list(read_graph6_stream(fh))
-        if args.sweep == "theorem1":
-            free, trees_only = _free_for_theorem1(), False
-        elif args.sweep == "corollary1":
-            free, trees_only = _free_for_corollary1(), False
-        elif args.sweep == "corollary2":
-            free, trees_only = (), True
-        else:
-            free, trees_only = (), False
-        source = levels_from_graphs(external, max_n, free, trees_only)
-    report = sweep(max_n=max_n, jobs=args.jobs, store=store, source=source)
+    spec = SWEEPS[args.sweep]
+    max_n = spec.default_max_n if args.max_n is None else args.max_n
+    with closing(_make_store(args)) as store:
+        source = None
+        if args.graphs:
+            with open(args.graphs, "r", encoding="ascii") as fh:
+                external = list(read_graph6_stream(fh))
+            source = levels_from_graphs(external, max_n, spec.restriction,
+                                        spec.stream == "trees")
+        report = _SWEEPS[args.sweep](max_n=max_n, jobs=args.jobs, store=store,
+                                     source=source)
     print(report.to_json())
-    if args.sweep != "conjecture3" and not report.verified:
-        return 1
-    return 0
-
-
-def _free_for_theorem1() -> tuple[str, ...]:
-    from .patterns import RESTRICTION_NAMES
-
-    return RESTRICTION_NAMES
-
-
-def _free_for_corollary1() -> tuple[str, ...]:
-    from .patterns import TRIANGLE_RESTRICTION_NAMES
-
-    return TRIANGLE_RESTRICTION_NAMES
+    return 0 if report.verified else 1
 
 
 def cmd_minimal(args) -> int:
     free = _split_names(args.free) if args.free else ()
     kind = ClassKind.POROUS if args.porous else ClassKind.EXPONENTIAL
-    store = _make_store(args)
-    report = find_minimal_forbidden(args.max_n, kind, free, jobs=args.jobs,
-                                    store=store)
+    spec = minimal_spec(kind, free)
+    max_n = spec.default_max_n if args.max_n is None else args.max_n
+    with closing(_make_store(args)) as store:
+        report = spec.run(max_n, jobs=args.jobs, store=store)
     found = report.extras["found"]
     if args.format == "json":
         print(report.to_json())
@@ -287,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("minimal", help="list minimal forbidden graphs")
-    p.add_argument("--max-n", type=int, default=7,
+    p.add_argument("--max-n", type=int, default=None,
                    help="largest order to scan (default 7)")
     p.add_argument("--free", nargs="*", metavar="NAME",
                    help="restrict the scan to graphs free of these patterns")

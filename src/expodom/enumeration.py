@@ -41,9 +41,6 @@ class GraphStream:
     def __iter__(self) -> Iterator[Graph]:
         return iter(_level(self.mode, self.free_of, self.order))
 
-    def codes(self) -> list[bytes]:
-        return [code for code, _ in _level_pairs(self.mode, self.free_of, self.order)]
-
 
 def connected_graphs(n: int, free_of: Iterable[str] = ()) -> GraphStream:
     """All connected graphs of order exactly n, one per isomorphism class."""

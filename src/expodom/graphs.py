@@ -267,8 +267,12 @@ def encode_graph6(g: Graph) -> str:
     return head + "".join(out)
 
 
-def decode_graph6(text: str | bytes) -> Graph:
-    """Parse one graph6 line; strict about length and padding."""
+def graph6_bit_stream(text: str | bytes) -> tuple[int, int, int]:
+    """Order, bit stream and bit count (padding included) of a graph6 line.
+
+    Strict about the byte range, length and padding: a line this accepts
+    always decodes.
+    """
     if isinstance(text, bytes):
         text = text.decode("ascii", errors="replace")
     line = text.strip()
@@ -297,40 +301,26 @@ def decode_graph6(text: str | bytes) -> Graph:
         raise Graph6Error("truncated graph6 bit stream")
     if len(body) > need:
         raise Graph6Error("trailing garbage after graph6 bit stream")
-    rows = [0] * n
-    bit = 0
+    bits = 0
     for ch in body:
-        val = ord(ch) - 63
-        for k in range(5, -1, -1):
-            if bit >= nbits:
-                if (val >> k) & 1:
-                    raise Graph6Error("nonzero padding bits")
-                continue
-            if (val >> k) & 1:
-                # column-major upper triangle: bit index -> pair (i, j)
-                i, j = _PAIR_CACHE.pair(bit)
+        bits = (bits << 6) | (ord(ch) - 63)
+    if bits & ((1 << (6 * need - nbits)) - 1):
+        raise Graph6Error("nonzero padding bits")
+    return n, bits, 6 * need
+
+
+def decode_graph6(text: str | bytes) -> Graph:
+    """Parse one graph6 line; strict about length and padding."""
+    n, bits, shift = graph6_bit_stream(text)
+    # column-major upper triangle, the order encode_graph6 writes
+    rows = [0] * n
+    for j in range(1, n):
+        for i in range(j):
+            shift -= 1
+            if (bits >> shift) & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-            bit += 1
     return Graph(n, tuple(rows))
-
-
-class _PairCache:
-    """bit index -> (i, j) of the upper-triangle, column-major order."""
-
-    def __init__(self) -> None:
-        self._pairs: list[tuple[int, int]] = []
-        self._next_j = 1
-
-    def pair(self, idx: int) -> tuple[int, int]:
-        while idx >= len(self._pairs):
-            j = self._next_j
-            self._pairs.extend((i, j) for i in range(j))
-            self._next_j += 1
-        return self._pairs[idx]
-
-
-_PAIR_CACHE = _PairCache()
 
 
 # ----------------------------------------------------------------------

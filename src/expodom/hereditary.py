@@ -15,6 +15,7 @@ witnesses for free.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import multiprocessing
@@ -26,7 +27,7 @@ from typing import Callable, Iterable, Optional
 from . import __version__
 from .cache import ResultsCache
 from .domination import parameter_values
-from .enumeration import GraphStream, connected_graphs, trees
+from .enumeration import connected_graphs, trees
 from .graphs import (
     Graph,
     SizeCapError,
@@ -49,13 +50,6 @@ from .patterns import (
 #: in_class works by exhausting connected induced subgraph classes; past
 #: this order the recursion footprint stops being desk-scale.
 MEMBERSHIP_ORDER_CAP = 12
-
-DEFAULT_MAX_N = {
-    "theorem1": 9,
-    "corollary1": 9,
-    "corollary2": 12,
-    "conjecture3": 8,
-}
 
 TREE_OBSTRUCTION_NAMES: tuple[str, ...] = ("P7", "F1")
 
@@ -169,6 +163,11 @@ class ParamStore:
         if self.results_cache is not None and chain_ok:
             self.results_cache.put(code.decode("ascii"), vals)
 
+    def close(self) -> None:
+        """Close the results cache's append handle; the store stays usable."""
+        if self.results_cache is not None:
+            self.results_cache.close()
+
 
 _DEFAULT_STORE = ParamStore()
 
@@ -201,8 +200,12 @@ def _merge(a, b):
     return min(a, b)
 
 
-def _min_violators(g: Graph, store: ParamStore) -> tuple:
-    """((order, code) or None) per kind: minimum-order connected violators."""
+def _min_violators(g: Graph, store: ParamStore,
+                   code: Optional[bytes] = None) -> tuple:
+    """((order, code) or None) per kind: minimum-order connected violators.
+
+    `code`, when given, is the canonical code of g, saving a labeling.
+    """
     if g.n == 0:
         return (None, None)
     comps = connected_components(g)
@@ -213,7 +216,8 @@ def _min_violators(g: Graph, store: ParamStore) -> tuple:
             best_e = _merge(best_e, r_e)
             best_p = _merge(best_p, r_p)
         return (best_e, best_p)
-    code = canonical_code(g)
+    if code is None:
+        code = canonical_code(g)
     got = store._violators.get(code)
     if got is not None:
         return got
@@ -232,17 +236,22 @@ def _min_violators(g: Graph, store: ParamStore) -> tuple:
     return result
 
 
-def _violator_for_kind(g: Graph, kind: ClassKind, store: ParamStore):
-    pair = _min_violators(g, store)
+def _violator_for_kind(g: Graph, kind: ClassKind, store: ParamStore,
+                       code: Optional[bytes] = None):
+    pair = _min_violators(g, store, code)
     return pair[0] if kind is ClassKind.EXPONENTIAL else pair[1]
+
+
+def _check_membership_order(n: int) -> None:
+    if n > MEMBERSHIP_ORDER_CAP:
+        raise SizeCapError(
+            f"membership capped at order {MEMBERSHIP_ORDER_CAP}")
 
 
 def in_class(g: Graph, kind: ClassKind = ClassKind.EXPONENTIAL,
              store: Optional[ParamStore] = None) -> MembershipResult:
     """Hereditary-equality membership with a minimum-order witness."""
-    if g.n > MEMBERSHIP_ORDER_CAP:
-        raise SizeCapError(
-            f"membership capped at order {MEMBERSHIP_ORDER_CAP}")
+    _check_membership_order(g.n)
     store = store or _DEFAULT_STORE
     hit = _violator_for_kind(g, kind, store)
     if hit is None:
@@ -257,9 +266,7 @@ def is_minimal_forbidden(g: Graph, kind: ClassKind = ClassKind.EXPONENTIAL,
     Disconnected graphs are never minimal: a violating component is a
     proper induced violator, and without one the sums stay equal.
     """
-    if g.n > MEMBERSHIP_ORDER_CAP:
-        raise SizeCapError(
-            f"membership capped at order {MEMBERSHIP_ORDER_CAP}")
+    _check_membership_order(g.n)
     if not is_connected(g) or g.n == 0:
         return False
     store = store or _DEFAULT_STORE
@@ -275,18 +282,14 @@ def _params_worker(g6: str) -> tuple[str, tuple[int, int, int]]:
     return g6, parameter_values(decode_graph6(g6))
 
 
-def _warm_params(store: ParamStore, graphs: list[Graph], jobs: int) -> None:
-    """Fill the store for every graph in the batch, optionally in parallel.
+def _warm_params(store: ParamStore, codes: list[bytes], jobs: int) -> None:
+    """Fill the store for every code in the batch, optionally in parallel.
 
     Results merge in submission order, so worker count never changes any
     report.  Only the leaf solver calls parallelize; the recursion stays in
     this process where the memo lives.
     """
-    missing = []
-    for g in graphs:
-        code = canonical_code(g)
-        if not store.known(code):
-            missing.append(code.decode("ascii"))
+    missing = [code.decode("ascii") for code in codes if not store.known(code)]
     if not missing:
         return
     if jobs > 1 and len(missing) > 1:
@@ -331,17 +334,6 @@ def _obstruction_self_check(store: ParamStore) -> None:
 LevelSource = Callable[[int], Iterable[Graph]]
 
 
-def _stream_source(mode: str, free_of: Iterable[str]) -> LevelSource:
-    names = tuple(free_of)
-
-    def source(n: int) -> GraphStream:
-        if mode == "trees":
-            return trees(n, names)
-        return connected_graphs(n, names)
-
-    return source
-
-
 def levels_from_graphs(graphs: Iterable[Graph], max_n: int,
                        free_of: Iterable[str] = (),
                        trees_only: bool = False) -> LevelSource:
@@ -370,118 +362,147 @@ def levels_from_graphs(graphs: Iterable[Graph], max_n: int,
     return source
 
 
-def _equivalence_sweep(sweep: str, stream: str, restriction: tuple[str, ...],
-                       obstructions: tuple[str, ...], max_n: int, jobs: int,
-                       store: Optional[ParamStore],
-                       source: Optional[LevelSource]) -> VerificationReport:
-    """Check in_class(g) ⟺ obstruction-freeness over a whole stream."""
-    if max_n > MEMBERSHIP_ORDER_CAP:
-        raise SizeCapError(
-            f"membership capped at order {MEMBERSHIP_ORDER_CAP}")
-    store = store or _DEFAULT_STORE
-    started = time.perf_counter()
-    _obstruction_self_check(store)
-    if source is None:
-        source = _stream_source(stream, restriction)
-    counts: dict[int, int] = {}
-    counterexamples: list[str] = []
-    for n in range(1, max_n + 1):
-        level = list(source(n))
-        counts[n] = len(level)
-        _warm_params(store, level, jobs)
-        for g in level:
-            member = _violator_for_kind(g, ClassKind.EXPONENTIAL, store) is None
-            free = patterns.is_free(g, obstructions)
-            if member != free:
-                counterexamples.append(encode_graph6(g))
-    return VerificationReport(
-        sweep=sweep,
-        max_n=max_n,
-        stream=stream,
-        restriction=restriction,
-        kind=ClassKind.EXPONENTIAL.value,
-        counts=counts,
-        counterexamples=counterexamples,
-        extras={"obstructions": list(obstructions)},
-        elapsed_seconds=round(time.perf_counter() - started, 3),
-        config_hash=_config_hash(sweep=sweep, max_n=max_n, stream=stream,
-                                 restriction=list(restriction),
-                                 obstructions=list(obstructions)),
-    )
+#: Per-graph check of a sweep: (graph, its canonical code, store, the
+#: report lists by name), appending what it finds.
+Check = Callable[[Graph, bytes, ParamStore, dict[str, list]], None]
 
 
-def verify_theorem1(max_n: int = DEFAULT_MAX_N["theorem1"], jobs: int = 1,
-                    store: Optional[ParamStore] = None,
-                    source: Optional[LevelSource] = None) -> VerificationReport:
-    """Membership ⟺ obstruction-freeness over the restricted class."""
-    return _equivalence_sweep("theorem1", "connected", RESTRICTION_NAMES,
-                              OBSTRUCTION_NAMES, max_n, jobs, store, source)
+@dataclass(frozen=True)
+class SweepSpec:
+    """One exhaustive sweep: its host class, its check and its report.
 
-
-def verify_corollary1(max_n: int = DEFAULT_MAX_N["corollary1"], jobs: int = 1,
-                      store: Optional[ParamStore] = None,
-                      source: Optional[LevelSource] = None) -> VerificationReport:
-    """Same equivalence over the triangle-free restricted class."""
-    return _equivalence_sweep("corollary1", "connected",
-                              TRIANGLE_RESTRICTION_NAMES, OBSTRUCTION_NAMES,
-                              max_n, jobs, store, source)
-
-
-def verify_corollary2(max_n: int = DEFAULT_MAX_N["corollary2"], jobs: int = 1,
-                      store: Optional[ParamStore] = None,
-                      source: Optional[LevelSource] = None) -> VerificationReport:
-    """Tree membership ⟺ freeness from the two tree obstructions."""
-    return _equivalence_sweep("corollary2", "trees", (),
-                              TREE_OBSTRUCTION_NAMES, max_n, jobs, store,
-                              source)
-
-
-def probe_conjecture3(max_n: int = DEFAULT_MAX_N["conjecture3"], jobs: int = 1,
-                      store: Optional[ParamStore] = None,
-                      source: Optional[LevelSource] = None) -> VerificationReport:
-    """Compare the two hereditary classes over all connected graphs.
-
-    A divergence would be a publishable find, so it is reported in-band,
-    never raised.  The parameter chain gamma_e_star <= gamma_e <= gamma is
-    asserted per scanned instance; a violation would be a solver bug and
-    lands in its own report list.
+    `check` appends to the report lists named in `lists`.  A list named
+    "counterexamples" becomes the report's own (it decides `verified`);
+    the others, after the fixed `extras`, become report extras.  `config`
+    holds the config-hash keys beyond name, order, stream and restriction.
     """
-    if max_n > MEMBERSHIP_ORDER_CAP:
-        raise SizeCapError(
-            f"membership capped at order {MEMBERSHIP_ORDER_CAP}")
-    store = store or _DEFAULT_STORE
-    started = time.perf_counter()
-    _obstruction_self_check(store)
-    if source is None:
-        source = _stream_source("connected", ())
-    counts: dict[int, int] = {}
-    divergences: list[str] = []
-    chain_violations: list[str] = []
-    for n in range(1, max_n + 1):
-        level = list(source(n))
-        counts[n] = len(level)
-        _warm_params(store, level, jobs)
-        for g in level:
-            gamma, gamma_e, gamma_e_star = store.params(g)
-            if not gamma_e_star <= gamma_e <= gamma:
-                chain_violations.append(encode_graph6(g))
-            viol_e, viol_p = _min_violators(g, store)
-            if (viol_e is None) != (viol_p is None):
-                divergences.append(encode_graph6(g))
-    return VerificationReport(
-        sweep="conjecture3",
-        max_n=max_n,
-        stream="connected",
-        restriction=(),
-        kind="both",
-        counts=counts,
-        counterexamples=[],
-        extras={"divergences": divergences,
-                "chain_violations": chain_violations},
-        elapsed_seconds=round(time.perf_counter() - started, 3),
-        config_hash=_config_hash(sweep="conjecture3", max_n=max_n,
-                                 stream="connected", restriction=[]),
-    )
+
+    name: str
+    stream: str  # "connected" or "trees"
+    restriction: tuple[str, ...]
+    kind: str
+    default_max_n: int
+    check: Check
+    lists: tuple[str, ...]
+    config: dict = field(default_factory=dict)
+    extras: dict[str, tuple] = field(default_factory=dict)
+
+    def run(self, max_n: Optional[int] = None, jobs: int = 1,
+            store: Optional[ParamStore] = None,
+            source: Optional[LevelSource] = None) -> VerificationReport:
+        """Check every graph of the stream (or of `source`) up to max_n."""
+        if max_n is None:
+            max_n = self.default_max_n
+        _check_membership_order(max_n)
+        store = store or _DEFAULT_STORE
+        started = time.perf_counter()
+        _obstruction_self_check(store)
+        if source is None:
+            stream = trees if self.stream == "trees" else connected_graphs
+            source = functools.partial(stream, free_of=self.restriction)
+        counts: dict[int, int] = {}
+        found: dict[str, list] = {name: [] for name in self.lists}
+        for n in range(1, max_n + 1):
+            # one canonical labeling per scanned graph, shared by the
+            # warm-up, the store and the recursion
+            level = [(canonical_code(g), g) for g in source(n)]
+            counts[n] = len(level)
+            _warm_params(store, [code for code, _ in level], jobs)
+            for code, g in level:
+                self.check(g, code, store, found)
+        extras = {key: list(value) for key, value in self.extras.items()}
+        extras.update(found)
+        return VerificationReport(
+            sweep=self.name,
+            max_n=max_n,
+            stream=self.stream,
+            restriction=self.restriction,
+            kind=self.kind,
+            counts=counts,
+            counterexamples=extras.pop("counterexamples", []),
+            extras=extras,
+            elapsed_seconds=round(time.perf_counter() - started, 3),
+            config_hash=_config_hash(sweep=self.name, max_n=max_n,
+                                     stream=self.stream,
+                                     restriction=list(self.restriction),
+                                     **self.config),
+        )
+
+
+def _equivalence(name: str, stream: str, restriction: tuple[str, ...],
+                 obstructions: tuple[str, ...], default_max_n: int
+                 ) -> SweepSpec:
+    """Membership ⟺ freeness from `obstructions` over the host class."""
+
+    def check(g: Graph, code: bytes, store: ParamStore,
+              out: dict[str, list]) -> None:
+        member = _min_violators(g, store, code)[0] is None
+        if member != patterns.is_free(g, obstructions):
+            out["counterexamples"].append(encode_graph6(g))
+
+    return SweepSpec(name, stream, restriction, ClassKind.EXPONENTIAL.value,
+                     default_max_n, check, ("counterexamples",),
+                     config={"obstructions": obstructions},
+                     extras={"obstructions": obstructions})
+
+
+def _conjecture3_check(g: Graph, code: bytes, store: ParamStore,
+                       out: dict[str, list]) -> None:
+    gamma, gamma_e, gamma_e_star = store.params_for_code(code, g)
+    if not gamma_e_star <= gamma_e <= gamma:
+        out["chain_violations"].append(encode_graph6(g))
+    viol_e, viol_p = _min_violators(g, store, code)
+    if (viol_e is None) != (viol_p is None):
+        out["divergences"].append(encode_graph6(g))
+
+
+#: Every sweep `verify` runs.  Each entry is the one place that states the
+#: sweep's host class, obstructions and default depth.
+SWEEPS: dict[str, SweepSpec] = {spec.name: spec for spec in (
+    # membership ⟺ seven-pattern freeness over the restricted class
+    _equivalence("theorem1", "connected", RESTRICTION_NAMES,
+                 OBSTRUCTION_NAMES, 9),
+    # the same equivalence over the triangle-free restricted class
+    _equivalence("corollary1", "connected", TRIANGLE_RESTRICTION_NAMES,
+                 OBSTRUCTION_NAMES, 9),
+    # tree membership ⟺ freeness from the two tree obstructions
+    _equivalence("corollary2", "trees", (), TREE_OBSTRUCTION_NAMES, 12),
+    # the two hereditary classes compared over all connected graphs.  A
+    # divergence would be a publishable find, so it is reported in-band,
+    # never raised; a violation of the parameter chain would be a solver
+    # bug and lands in its own list.
+    SweepSpec("conjecture3", "connected", (), "both", 8, _conjecture3_check,
+              ("divergences", "chain_violations")),
+)}
+
+DEFAULT_MAX_N = {name: spec.default_max_n for name, spec in SWEEPS.items()}
+
+verify_theorem1 = SWEEPS["theorem1"].run
+verify_corollary1 = SWEEPS["corollary1"].run
+verify_corollary2 = SWEEPS["corollary2"].run
+probe_conjecture3 = SWEEPS["conjecture3"].run
+
+
+def minimal_spec(kind: ClassKind = ClassKind.EXPONENTIAL,
+                 restriction: Iterable[str] = ()) -> SweepSpec:
+    """The sweep listing minimal forbidden graphs of one class."""
+
+    def check(g: Graph, code: bytes, store: ParamStore,
+              out: dict[str, list]) -> None:
+        hit = _violator_for_kind(g, kind, store, code)
+        if hit is not None and hit[0] == g.n:
+            gamma, gamma_e, gamma_e_star = store.params_for_code(code, g)
+            out["found"].append({
+                "graph6": encode_graph6(g),
+                "n": g.n,
+                "gamma": gamma,
+                "gamma_e": gamma_e,
+                "gamma_e_star": gamma_e_star,
+            })
+
+    return SweepSpec("minimal_forbidden", "connected", tuple(restriction),
+                     kind.value, 7, check, ("found",),
+                     config={"kind": kind.value})
 
 
 def find_minimal_forbidden(max_n: int, kind: ClassKind = ClassKind.EXPONENTIAL,
@@ -490,44 +511,4 @@ def find_minimal_forbidden(max_n: int, kind: ClassKind = ClassKind.EXPONENTIAL,
                            source: Optional[LevelSource] = None
                            ) -> VerificationReport:
     """All minimal forbidden graphs up to max_n, with their parameters."""
-    if max_n > MEMBERSHIP_ORDER_CAP:
-        raise SizeCapError(
-            f"membership capped at order {MEMBERSHIP_ORDER_CAP}")
-    store = store or _DEFAULT_STORE
-    restriction = tuple(restriction)
-    started = time.perf_counter()
-    _obstruction_self_check(store)
-    if source is None:
-        source = _stream_source("connected", restriction)
-    counts: dict[int, int] = {}
-    found: list[dict] = []
-    for n in range(1, max_n + 1):
-        level = list(source(n))
-        counts[n] = len(level)
-        _warm_params(store, level, jobs)
-        for g in level:
-            hit = _violator_for_kind(g, kind, store)
-            if hit is not None and hit[0] == g.n:
-                gamma, gamma_e, gamma_e_star = store.params(g)
-                found.append({
-                    "graph6": encode_graph6(g),
-                    "n": g.n,
-                    "gamma": gamma,
-                    "gamma_e": gamma_e,
-                    "gamma_e_star": gamma_e_star,
-                })
-    return VerificationReport(
-        sweep="minimal_forbidden",
-        max_n=max_n,
-        stream="connected",
-        restriction=restriction,
-        kind=kind.value,
-        counts=counts,
-        counterexamples=[],
-        extras={"found": found},
-        elapsed_seconds=round(time.perf_counter() - started, 3),
-        config_hash=_config_hash(sweep="minimal_forbidden", max_n=max_n,
-                                 stream="connected",
-                                 restriction=list(restriction),
-                                 kind=kind.value),
-    )
+    return minimal_spec(kind, restriction).run(max_n, jobs, store, source)

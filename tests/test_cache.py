@@ -56,18 +56,19 @@ class TestResultsCache:
 
     def test_bad_lines_skipped_with_warning(self, tmp_path, capsys):
         path = tmp_path / "cache.tsv"
-        path.write_text("E@QW\t3\t2\t2\n"
-                        "garbage line\n"
-                        "C~\t1\t2\t1\n"   # chain violation
-                        "\n"
-                        "A_\t1\t1\t1\n")
+        path.write_bytes(b"E@QW\t3\t2\t2\n"
+                         b"garbage line\n"
+                         b"C~\t1\t2\t1\n"   # chain violation
+                         b"\n"
+                         b"B\xc3\xa9\t1\t1\t1\n"   # key is not graph6
+                         b"A_\t1\t1\t1\n")
         cache = ResultsCache(str(path))
         err = capsys.readouterr().err
         assert len(cache) == 2
         assert cache.get("E@QW") == (3, 2, 2)
         assert cache.get("A_") == (1, 1, 1)
-        assert err.count("skipping bad cache line") == 2
-        assert ":2:" in err and ":3:" in err
+        assert err.count("skipping bad cache line") == 3
+        assert ":2:" in err and ":3:" in err and ":5:" in err
 
     def test_put_validates_chain(self, tmp_path):
         cache = ResultsCache(str(tmp_path / "cache.tsv"))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from expodom.cache import CACHE_ENV_VAR
+from expodom.cache import CACHE_ENV_VAR, ResultsCache
 from expodom.cli import PARAMS_ORDER_CAP, main
 from expodom.domination import parameter_values
 from expodom.graphs import decode_graph6, encode_graph6
@@ -195,6 +195,22 @@ class TestVerify:
         assert data["counts"]["6"] == 6
         assert data["counts"]["5"] == 0
 
+    def test_theorem1_graphs_file_matches_internal_sweep(self, capsys,
+                                                          tmp_path):
+        # every connected graph of order <= 6; the sweep keeps its host class
+        path = tmp_path / "connected.g6"
+        lines = []
+        for n in range(1, 7):
+            code, out, _ = run(capsys, "enum", "--n", str(n))
+            lines.extend(out.split())
+        path.write_text("\n".join(lines) + "\n")
+        internal = run_json(capsys, "verify", "--sweep", "theorem1",
+                            "--max-n", "6")
+        external = run_json(capsys, "verify", "--sweep", "theorem1",
+                            "--max-n", "6", "--graphs", str(path))
+        del internal["elapsed_seconds"], external["elapsed_seconds"]
+        assert external == internal
+
     def test_cache_file_written(self, capsys, tmp_path):
         path = tmp_path / "cache.tsv"
         code, _, _ = run(capsys, "verify", "--sweep", "corollary2",
@@ -202,6 +218,34 @@ class TestVerify:
         assert code == 0
         text = path.read_text()
         assert "F?LT?\t3\t2\t2" in text
+
+    def test_cache_line_with_non_graph6_key_skipped(self, capsys, tmp_path):
+        path = tmp_path / "cache.tsv"
+        path.write_bytes(b"B\xc3\xa9\t1\t1\t1\n")
+        code, out, err = run(capsys, "verify", "--sweep", "corollary2",
+                             "--max-n", "5", "--cache", str(path))
+        assert code == 0, err
+        assert json.loads(out)["verified"] is True
+        assert "skipping bad cache line" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--sweep", "corollary2", "--max-n", "5"),
+        ("minimal", "--max-n", "5"),
+    ])
+    def test_cache_closed_after_run(self, capsys, tmp_path, monkeypatch,
+                                    argv):
+        closed = []
+        real_close = ResultsCache.close
+
+        def close(cache):
+            closed.append(cache.path)
+            real_close(cache)
+
+        monkeypatch.setattr(ResultsCache, "close", close)
+        path = str(tmp_path / "cache.tsv")
+        code, _, _ = run(capsys, *argv, "--cache", path)
+        assert code == 0
+        assert closed == [path]
 
     def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "env-cache.tsv"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -257,7 +258,40 @@ class TestSweeps:
                    for n in DEFAULT_MAX_N.values())
 
 
+#: first 16 hex digits of the SHA-256 of to_json(include_timing=False), and
+#: the config hash, of reports produced before the sweeps shared one loop
+PINNED_REPORTS = {
+    "theorem1": (lambda st: verify_theorem1(7, store=st),
+                 "bc2a16bcfa5ea6a7", "9a3cebfa14f27742"),
+    "corollary1": (lambda st: verify_corollary1(7, store=st),
+                   "78f5b9e4b6cb94ff", "82a7d9c4752e0ebc"),
+    "corollary2": (lambda st: verify_corollary2(9, store=st),
+                   "3874115556bc24fb", "53f243f6b35736c5"),
+    "conjecture3": (lambda st: probe_conjecture3(6, store=st),
+                    "a2e246f790675e2b", "beeb98296d0325fd"),
+    "minimal_exponential": (
+        lambda st: find_minimal_forbidden(7, ClassKind.EXPONENTIAL,
+                                          store=st),
+        "9aec93c6f3e79da1", "0b2bdd822ea177be"),
+    "minimal_porous": (
+        lambda st: find_minimal_forbidden(7, ClassKind.POROUS, store=st),
+        "2cb67a311993108f", "76d25f51684fd911"),
+    "minimal_restricted": (
+        lambda st: find_minimal_forbidden(7, ClassKind.EXPONENTIAL,
+                                          RESTRICTION_NAMES, store=st),
+        "dca520f835432608", "8d194a0792d6b62c"),
+}
+
+
 class TestReports:
+    @pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+    def test_report_bytes_pinned(self, name):
+        sweep, digest, config_hash = PINNED_REPORTS[name]
+        report = sweep(ParamStore())
+        blob = report.to_json(include_timing=False).encode("ascii")
+        assert hashlib.sha256(blob).hexdigest()[:16] == digest
+        assert report.config_hash == config_hash
+
     def test_deterministic_without_timing(self, store):
         a = verify_corollary2(max_n=8, store=store)
         b = verify_corollary2(max_n=8, store=store)
