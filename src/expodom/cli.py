@@ -105,15 +105,13 @@ def cmd_params(args) -> int:
     }
     print(json.dumps(record, indent=2, sort_keys=True))
     if args.explain:
-        cert_e = set(gamma_e.certificate)
-        cert_p = set(gamma_e_star.certificate)
-        print(f"\nweights for gamma_e certificate {sorted(cert_e)}:")
-        for v, w in enumerate(weight_table(g, cert_e)):
-            print(f"  {v}: {w}")
-        print(f"\nporous weights for gamma_e_star certificate "
-              f"{sorted(cert_p)}:")
-        for v, w in enumerate(porous_weight_table(g, cert_p)):
-            print(f"  {v}: {w}")
+        for title, result, table in (
+                ("weights for gamma_e", gamma_e, weight_table),
+                ("porous weights for gamma_e_star", gamma_e_star,
+                 porous_weight_table)):
+            print(f"\n{title} certificate {sorted(result.certificate)}:")
+            for v, w in enumerate(table(g, result.certificate)):
+                print(f"  {v}: {int(w * (1 << g.n))}/2^{g.n}")
     return 0
 
 

@@ -3,7 +3,8 @@
 All weight arithmetic is fixed-point over a common power-of-two scale: a
 weight on a graph of order n is an integer numerator over 2^n.  A single
 set vertex at distance d contributes (1/2)^(d-1) = 2^(n+1-d) / 2^n, so the
-threshold test "weight >= 1" is the integer test "numerator >= 2^n".  No
+threshold test "weight >= 1" is the integer test "numerator >= 2^n".  The
+public weight functions return these values as exact `Fraction`s.  No
 floating point is involved anywhere in this module.
 
 The distance feeding the non-porous weight is constrained: it is the length
@@ -41,63 +42,6 @@ class ParamResult:
     value: int
     certificate: tuple[int, ...]
     kind: ParamKind
-
-
-@dataclass(frozen=True, order=False)
-class DyadicWeight:
-    """Exact numerator / 2^scale_exponent, comparable against ints."""
-
-    numerator: int
-    scale_exponent: int
-
-    def __post_init__(self) -> None:
-        if self.numerator < 0 or self.scale_exponent < 0:
-            raise ValueError("negative weight components")
-
-    def _pair(self, other) -> tuple[int, int]:
-        if isinstance(other, DyadicWeight):
-            return (self.numerator << other.scale_exponent,
-                    other.numerator << self.scale_exponent)
-        if isinstance(other, int):
-            return (self.numerator, other << self.scale_exponent)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __eq__(self, other) -> bool:
-        p = self._pair(other)
-        return NotImplemented if p is NotImplemented else p[0] == p[1]
-
-    def __hash__(self) -> int:
-        return hash(self.as_fraction())
-
-    def __lt__(self, other):
-        p = self._pair(other)
-        return NotImplemented if p is NotImplemented else p[0] < p[1]
-
-    def __le__(self, other):
-        p = self._pair(other)
-        return NotImplemented if p is NotImplemented else p[0] <= p[1]
-
-    def __gt__(self, other):
-        p = self._pair(other)
-        return NotImplemented if p is NotImplemented else p[0] > p[1]
-
-    def __ge__(self, other):
-        p = self._pair(other)
-        return NotImplemented if p is NotImplemented else p[0] >= p[1]
-
-    def __add__(self, other: "DyadicWeight") -> "DyadicWeight":
-        if not isinstance(other, DyadicWeight):
-            return NotImplemented  # type: ignore[return-value]
-        k = max(self.scale_exponent, other.scale_exponent)
-        num = (self.numerator << (k - self.scale_exponent)) + \
-              (other.numerator << (k - other.scale_exponent))
-        return DyadicWeight(num, k)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, 1 << self.scale_exponent)
-
-    def __str__(self) -> str:
-        return f"{self.numerator}/2^{self.scale_exponent}"
 
 
 def _as_mask(g: Graph, s: int | Iterable[int]) -> int:
@@ -156,26 +100,28 @@ def _porous_numerators(g: Graph, dmask: int) -> list[int]:
     return nums
 
 
-def weight(g: Graph, d: int | Iterable[int], u: int) -> DyadicWeight:
+def weight_table(g: Graph, d: int | Iterable[int]) -> list[Fraction]:
+    """`weight` at every vertex, from one pass over the set."""
+    scale = 1 << g.n
+    return [Fraction(num, scale)
+            for num in _weight_numerators(g, _as_mask(g, d))]
+
+
+def porous_weight_table(g: Graph, d: int | Iterable[int]) -> list[Fraction]:
+    """`porous_weight` at every vertex, from one pass over the set."""
+    scale = 1 << g.n
+    return [Fraction(num, scale)
+            for num in _porous_numerators(g, _as_mask(g, d))]
+
+
+def weight(g: Graph, d: int | Iterable[int], u: int) -> Fraction:
     """Exponential-domination weight that the set d exerts on u."""
-    dmask = _as_mask(g, d)
-    return DyadicWeight(_weight_numerators(g, dmask)[u], g.n)
+    return weight_table(g, d)[u]
 
 
-def porous_weight(g: Graph, d: int | Iterable[int], u: int) -> DyadicWeight:
+def porous_weight(g: Graph, d: int | Iterable[int], u: int) -> Fraction:
     """Porous variant: distances ignore blocking by other set vertices."""
-    dmask = _as_mask(g, d)
-    return DyadicWeight(_porous_numerators(g, dmask)[u], g.n)
-
-
-def weight_table(g: Graph, d: int | Iterable[int]) -> list[DyadicWeight]:
-    dmask = _as_mask(g, d)
-    return [DyadicWeight(num, g.n) for num in _weight_numerators(g, dmask)]
-
-
-def porous_weight_table(g: Graph, d: int | Iterable[int]) -> list[DyadicWeight]:
-    dmask = _as_mask(g, d)
-    return [DyadicWeight(num, g.n) for num in _porous_numerators(g, dmask)]
+    return porous_weight_table(g, d)[u]
 
 
 # ----------------------------------------------------------------------
@@ -272,20 +218,17 @@ def _lex_min_dominating(g: Graph, k: int) -> tuple[int, ...]:
     return tuple(chosen)
 
 
-def domination_number(g: Graph) -> ParamResult:
-    if g.n == 0:
-        return ParamResult(0, (), ParamKind.DOMINATION)
-    value = _min_dominating_size(g, 0, g.vertex_mask, g.n)
-    assert value is not None  # the whole vertex set always dominates
-    return ParamResult(value, _lex_min_dominating(g, value), ParamKind.DOMINATION)
-
-
 def _gamma_value(g: Graph) -> int:
     if g.n == 0:
         return 0
     value = _min_dominating_size(g, 0, g.vertex_mask, g.n)
-    assert value is not None
+    assert value is not None  # the whole vertex set always dominates
     return value
+
+
+def domination_number(g: Graph) -> ParamResult:
+    value = _gamma_value(g)
+    return ParamResult(value, _lex_min_dominating(g, value), ParamKind.DOMINATION)
 
 
 # ----------------------------------------------------------------------
@@ -294,38 +237,35 @@ def _gamma_value(g: Graph) -> int:
 #
 # Exponential domination is not monotone under adding vertices to the set,
 # so no superset pruning is sound; the search enumerates k-subsets for
-# k = 1, 2, ... and stops at the first hit, which is guaranteed at latest
-# at k = gamma (a minimum dominating set puts weight >= 1 everywhere).
+# k = 0, 1, 2, ... and stops at the first hit, which is guaranteed at latest
+# at k = gamma (a minimum dominating set puts weight >= 1 everywhere).  The
+# empty set is accepted only on the empty graph.
 
-def _first_subset(g: Graph, k: int, accept) -> tuple[int, ...] | None:
-    for comb in combinations(range(g.n), k):
-        if accept(mask_from(comb)):
-            return comb
-    return None
+def _smallest(g: Graph, cap: int, accept, kind: ParamKind) -> ParamResult:
+    """Least k <= cap with an accepted k-subset, and the first such subset."""
+    for k in range(cap + 1):
+        for comb in combinations(range(g.n), k):
+            if accept(mask_from(comb)):
+                return ParamResult(k, comb, kind)
+    raise AssertionError(f"unreachable: no {kind.value} set of size <= {cap}")
 
 
 def exponential_domination_number(g: Graph, gamma: int | None = None) -> ParamResult:
-    if g.n == 0:
-        return ParamResult(0, (), ParamKind.EXPONENTIAL)
     cap = _gamma_value(g) if gamma is None else gamma
     one = 1 << g.n
 
     def accept(dmask: int) -> bool:
         return all(num >= one for num in _weight_numerators(g, dmask))
 
-    for k in range(1, cap + 1):
-        cert = _first_subset(g, k, accept)
-        if cert is not None:
-            return ParamResult(k, cert, ParamKind.EXPONENTIAL)
-    raise AssertionError("unreachable: gamma-size sets exponentially dominate")
+    return _smallest(g, cap, accept, ParamKind.EXPONENTIAL)
 
 
 def porous_exponential_domination_number(
     g: Graph, gamma_e: int | None = None
 ) -> ParamResult:
-    if g.n == 0:
-        return ParamResult(0, (), ParamKind.POROUS_EXPONENTIAL)
-    cap = exponential_domination_number(g).value if gamma_e is None else gamma_e
+    # gamma_e_star <= gamma_e <= gamma, and the search stops at its first
+    # hit, so gamma is as good a cap as gamma_e and far cheaper to compute
+    cap = _gamma_value(g) if gamma_e is None else gamma_e
     n = g.n
     one = 1 << n
     # plain distances do not depend on the candidate set: one matrix reused
@@ -343,11 +283,7 @@ def porous_exponential_domination_number(
                 return False
         return True
 
-    for k in range(1, cap + 1):
-        cert = _first_subset(g, k, accept)
-        if cert is not None:
-            return ParamResult(k, cert, ParamKind.POROUS_EXPONENTIAL)
-    raise AssertionError("unreachable: exponential dominating sets are porous")
+    return _smallest(g, cap, accept, ParamKind.POROUS_EXPONENTIAL)
 
 
 def compute_all(g: Graph) -> tuple[ParamResult, ParamResult, ParamResult]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .graphs import Graph, SizeCapError, canonical_code, canonical_graph, encode_graph6
 from . import patterns
@@ -39,7 +39,11 @@ class GraphStream:
     free_of: frozenset[str]
 
     def __iter__(self) -> Iterator[Graph]:
-        return iter(_level(self.mode, self.free_of, self.order))
+        return (g for _, g in self.pairs())
+
+    def pairs(self) -> Iterator[tuple[bytes, Graph]]:
+        """(canonical code, graph) per class, in code order."""
+        return iter(_level_pairs(self.mode, self.free_of, self.order))
 
 
 def connected_graphs(n: int, free_of: Iterable[str] = ()) -> GraphStream:
@@ -80,10 +84,6 @@ def _normalize_names(names: Iterable[str]) -> frozenset[str]:
 # ----------------------------------------------------------------------
 
 _LEVELS: dict[tuple[StreamMode, frozenset[str], int], list[tuple[bytes, Graph]]] = {}
-
-
-def _level(mode: StreamMode, free_of: frozenset[str], n: int) -> list[Graph]:
-    return [g for _, g in _level_pairs(mode, free_of, n)]
 
 
 def _level_pairs(mode: StreamMode, free_of: frozenset[str],

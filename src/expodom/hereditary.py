@@ -15,7 +15,6 @@ witnesses for free.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import multiprocessing
@@ -331,7 +330,9 @@ def _obstruction_self_check(store: ParamStore) -> None:
     store.obstructions_checked = True
 
 
-LevelSource = Callable[[int], Iterable[Graph]]
+#: A sweep's graphs of one order: (canonical code, graph) pairs, each graph
+#: its class's canonical representative, in code order.
+LevelSource = Callable[[int], Iterable[tuple[bytes, Graph]]]
 
 
 def levels_from_graphs(graphs: Iterable[Graph], max_n: int,
@@ -340,7 +341,8 @@ def levels_from_graphs(graphs: Iterable[Graph], max_n: int,
     """Adapt an external graph collection to a sweep source.
 
     Keeps connected graphs within the order bound that satisfy the
-    restriction, canonicalizes, dedups, and sorts each level by code.
+    restriction, canonicalizes and dedups them.  The source returns each
+    level as (canonical code, representative) pairs sorted by code.
     """
     names = tuple(free_of)
     buckets: dict[int, dict[bytes, Graph]] = {}
@@ -355,9 +357,8 @@ def levels_from_graphs(graphs: Iterable[Graph], max_n: int,
         code = encode_graph6(rep).encode("ascii")
         buckets.setdefault(g.n, {})[code] = rep
 
-    def source(n: int) -> list[Graph]:
-        level = buckets.get(n, {})
-        return [g for _, g in sorted(level.items())]
+    def source(n: int) -> list[tuple[bytes, Graph]]:
+        return sorted(buckets.get(n, {}).items())
 
     return source
 
@@ -399,13 +400,15 @@ class SweepSpec:
         _obstruction_self_check(store)
         if source is None:
             stream = trees if self.stream == "trees" else connected_graphs
-            source = functools.partial(stream, free_of=self.restriction)
+
+            def source(n: int) -> Iterable[tuple[bytes, Graph]]:
+                return stream(n, self.restriction).pairs()
         counts: dict[int, int] = {}
         found: dict[str, list] = {name: [] for name in self.lists}
         for n in range(1, max_n + 1):
-            # one canonical labeling per scanned graph, shared by the
-            # warm-up, the store and the recursion
-            level = [(canonical_code(g), g) for g in source(n)]
+            # the source's canonical codes serve the warm-up, the store and
+            # the recursion, so no scanned graph is labeled again
+            level = list(source(n))
             counts[n] = len(level)
             _warm_params(store, [code for code, _ in level], jobs)
             for code, g in level:

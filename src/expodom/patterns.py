@@ -204,10 +204,6 @@ def _find_induced_through(host: Graph, p: Pattern | Graph,
     return None
 
 
-def _names_to_patterns(names: Iterable[str]) -> list[Pattern]:
-    return [pattern(name) for name in names]
-
-
 def find_any_pattern(host: Graph, names: Iterable[str],
                      required_vertex: Optional[int] = None
                      ) -> Optional[tuple[str, Embedding]]:

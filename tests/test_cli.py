@@ -43,11 +43,17 @@ class TestParams:
             assert data["gamma_e_star"]["value"] == c
 
     def test_explain_prints_weight_tables(self, capsys):
+        assert P7_G6 == "FhCGG"
         code, out, _ = run(capsys, "params", P7_G6, "--explain")
         assert code == 0
-        assert "weights for gamma_e certificate [1, 5]:" in out
-        assert "porous weights" in out
-        assert "/2^" in out
+        tables = out[out.index("\nweights"):].strip("\n").split("\n\n")
+        want = [("weights for gamma_e certificate [1, 5]:",
+                 (128, 256, 160, 128, 160, 256, 128)),
+                ("porous weights for gamma_e_star certificate [1, 5]:",
+                 (136, 272, 160, 128, 160, 272, 136))]
+        assert tables == [
+            "\n".join([title] + [f"  {v}: {p}/2^7" for v, p in enumerate(ps)])
+            for title, ps in want]
 
     def test_stdin_dash(self, capsys, monkeypatch):
         import io

@@ -335,8 +335,10 @@ class TestExternalSource:
         source = levels_from_graphs(graphs, 6, trees_only=True)
         for n in range(1, 7):
             want = sorted(canonical_code(g) for g in trees(n))
-            got = [canonical_code(g) for g in source(n)]
-            assert got == want
+            pairs = source(n)
+            assert [code for code, _ in pairs] == want
+            for code, g in pairs:
+                assert code == canonical_code(g)
 
     def test_sweep_over_external_source(self, store, rng):
         graphs = [g for n in range(1, 8) for g in trees(n)]
