@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 from contextlib import closing
-from typing import Optional
+from typing import Iterator, Optional
 
 from . import __version__
 from .cache import ResultsCache, cache_from_environment
@@ -37,22 +37,31 @@ PARAMS_ORDER_CAP = 20
 _SWEEPS = {name: spec.run for name, spec in SWEEPS.items()}
 
 
+def _ascii_lines(path: str) -> Iterator[tuple[int, str]]:
+    """Numbered lines of an input file; a non-ASCII byte is a parse error."""
+    # surrogateescape reads past a bad byte, so the error can name its line
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                raise Graph6Error(f"{path}:{lineno}: non-ASCII byte")
+            yield lineno, line
+
+
 def _read_edge_list(path: str, n: Optional[int]) -> Graph:
     edges = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise Graph6Error(f"{path}:{lineno}: expected 'u v'")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise Graph6Error(
-                    f"{path}:{lineno}: vertices must be integers") from None
-            edges.append((u, v))
+    for lineno, raw in _ascii_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise Graph6Error(f"{path}:{lineno}: expected 'u v'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise Graph6Error(
+                f"{path}:{lineno}: vertices must be integers") from None
+        edges.append((u, v))
     if n is None:
         if not edges:
             raise Graph6Error(f"{path}: empty edge list needs --n")
@@ -168,8 +177,8 @@ def cmd_verify(args) -> int:
     with closing(_make_store(args)) as store:
         source = None
         if args.graphs:
-            with open(args.graphs, "r", encoding="ascii") as fh:
-                external = list(read_graph6_stream(fh))
+            external = list(read_graph6_stream(
+                line for _, line in _ascii_lines(args.graphs)))
             source = levels_from_graphs(external, max_n, spec.restriction,
                                         spec.stream == "trees")
         report = _SWEEPS[args.sweep](max_n=max_n, jobs=args.jobs, store=store,
@@ -200,6 +209,17 @@ def cmd_minimal(args) -> int:
             print("{graph6}  n={n}  gamma={gamma}  gamma_e={gamma_e}  "
                   "gamma_e_star={gamma_e_star}".format(**row))
     return 0
+
+
+def _jobs(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_graph_input(sub: argparse.ArgumentParser) -> None:
@@ -251,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which claim to check")
     p.add_argument("--max-n", type=int, default=None,
                    help="largest order to scan (sweep-specific default)")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_jobs, default=1,
                    help="parallel solver processes")
     p.add_argument("--cache", metavar="FILE",
                    help="append-only results cache path")
@@ -266,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict the scan to graphs free of these patterns")
     p.add_argument("--porous", action="store_true",
                    help="scan the porous class instead")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_jobs, default=1,
                    help="parallel solver processes")
     p.add_argument("--cache", metavar="FILE",
                    help="append-only results cache path")

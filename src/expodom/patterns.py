@@ -4,12 +4,21 @@ The catalog is transcribed by hand, so it is guarded twice: `catalog()`
 checks order/size/structure on first use, and `verify_catalog()` (run at
 the start of every sweep) additionally recomputes the domination parameters
 of the seven obstruction patterns with the exact solvers.
+
+The matcher backtracks over pattern vertices in descending-degree order
+and tries host vertices in ascending order, so its first embedding is
+deterministic.  Each step's candidates are one bitmask: host vertices not
+yet used, of at least the pattern vertex's degree, adjacent to the images
+of its earlier neighbours and to none of the images of its earlier
+non-neighbours.  What a step needs from the pattern (its degree, earlier
+neighbours and non-neighbours) is a search plan, built once per catalog
+pattern on first use; a bare `Graph` pattern gets a plan per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Iterable, Optional
 
 from .graphs import Graph, from_edge_list, girth, INFINITY
@@ -24,6 +33,16 @@ Embedding = tuple[int, ...]
 class Pattern:
     name: str
     graph: Graph
+
+    # search plans depend only on the pattern: built on first use, kept
+    # for the life of the pattern
+    @cached_property
+    def _plan(self) -> "_Plan":
+        return _match_plan(self.graph)
+
+    @cached_property
+    def _through_plans(self) -> "tuple[_Plan, ...]":
+        return _anchored_plans(self.graph)
 
 
 _EDGE_LISTS: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
@@ -126,8 +145,11 @@ def verify_catalog() -> None:
 # Induced-subgraph matcher
 # ----------------------------------------------------------------------
 
-def _pattern_graph(p: Pattern | Graph) -> Graph:
-    return p.graph if isinstance(p, Pattern) else p
+#: One step of a search plan: the pattern vertex placed at this step, its
+#: degree, and the earlier steps whose images must be adjacent (then
+#: non-adjacent) to this step's image.
+_Step = tuple[int, int, tuple[int, ...], tuple[int, ...]]
+_Plan = tuple[_Step, ...]
 
 
 def _match_order(pg: Graph) -> list[int]:
@@ -136,29 +158,92 @@ def _match_order(pg: Graph) -> list[int]:
     return sorted(range(pg.n), key=lambda v: (-pg.degree(v), v))
 
 
-def _extend(host: Graph, pg: Graph, order: list[int], image: list[int],
-            idx: int, used: int) -> bool:
-    if idx == len(order):
+def _search_plan(pg: Graph, order: list[int]) -> _Plan:
+    steps = []
+    for i, q in enumerate(order):
+        row = pg.adj[q]
+        steps.append((q, row.bit_count(),
+                      tuple(j for j in range(i) if (row >> order[j]) & 1),
+                      tuple(j for j in range(i) if not (row >> order[j]) & 1)))
+    return tuple(steps)
+
+
+def _match_plan(pg: Graph) -> _Plan:
+    return _search_plan(pg, _match_order(pg))
+
+
+def _anchored_plans(pg: Graph) -> tuple[_Plan, ...]:
+    """One plan per pattern vertex pinned first, in match order."""
+    order = _match_order(pg)
+    return tuple(_search_plan(pg, [q] + [r for r in order if r != q])
+                 for q in order)
+
+
+def _degree_masks(host: Graph) -> list[int]:
+    """Entry d is the mask of host vertices of degree at least d."""
+    at_least = [0] * (host.n + 1)
+    for v, row in enumerate(host.adj):
+        at_least[row.bit_count()] |= 1 << v
+    for d in range(host.n - 1, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    return at_least
+
+
+def _extend(plan: _Plan, adj: tuple[int, ...], at_least: list[int],
+            image: list[int], idx: int, used: int) -> bool:
+    """Fill image[idx:] along the plan; image[i] is step i's host vertex."""
+    if idx == len(plan):
         return True
-    q = order[idx]
-    pdeg_q = pg.degree(q)
-    for h in range(host.n):
-        hb = 1 << h
-        if used & hb:
-            continue
-        if host.degree(h) < pdeg_q:
-            continue
-        ok = True
-        for prev in order[:idx]:
-            if pg.has_edge(q, prev) != host.has_edge(h, image[prev]):
-                ok = False
-                break
-        if ok:
-            image[q] = h
-            if _extend(host, pg, order, image, idx + 1, used | hb):
-                return True
-            image[q] = -1
+    _, deg, adjacent, apart = plan[idx]
+    cand = at_least[deg] & ~used
+    for j in adjacent:
+        cand &= adj[image[j]]
+    for j in apart:
+        cand &= ~adj[image[j]]
+    while cand:
+        b = cand & -cand
+        image[idx] = b.bit_length() - 1
+        if _extend(plan, adj, at_least, image, idx + 1, used | b):
+            return True
+        cand ^= b
     return False
+
+
+def _embedding(plan: _Plan, image: list[int]) -> Embedding:
+    out = [0] * len(plan)
+    for (q, _, _, _), h in zip(plan, image):
+        out[q] = h
+    return tuple(out)
+
+
+def _first(host: Graph, at_least: list[int], plan: _Plan
+           ) -> Optional[Embedding]:
+    k = len(plan)
+    if k == 0:
+        return ()
+    if k > host.n:
+        return None
+    image = [-1] * k
+    if _extend(plan, host.adj, at_least, image, 0, 0):
+        return _embedding(plan, image)
+    return None
+
+
+def _first_through(host: Graph, at_least: list[int],
+                   plans: tuple[_Plan, ...], anchor: int
+                   ) -> Optional[Embedding]:
+    k = len(plans)
+    if k == 0 or k > host.n:
+        return None
+    hdeg_anchor = host.adj[anchor].bit_count()
+    image = [-1] * k
+    image[0] = anchor
+    for plan in plans:
+        if plan[0][1] > hdeg_anchor:
+            continue
+        if _extend(plan, host.adj, at_least, image, 1, 1 << anchor):
+            return _embedding(plan, image)
+    return None
 
 
 def find_induced(host: Graph, p: Pattern | Graph) -> Optional[Embedding]:
@@ -167,16 +252,8 @@ def find_induced(host: Graph, p: Pattern | Graph) -> Optional[Embedding]:
     Backtracks over pattern vertices in descending-degree order with host
     candidates ascending, so the result is deterministic.
     """
-    pg = _pattern_graph(p)
-    k = pg.n
-    if k == 0:
-        return ()
-    if k > host.n:
-        return None
-    image = [-1] * k  # pattern vertex -> host vertex
-    if _extend(host, pg, _match_order(pg), image, 0, 0):
-        return tuple(image)
-    return None
+    plan = p._plan if isinstance(p, Pattern) else _match_plan(p)
+    return _first(host, _degree_masks(host), plan)
 
 
 def _find_induced_through(host: Graph, p: Pattern | Graph,
@@ -187,38 +264,32 @@ def _find_induced_through(host: Graph, p: Pattern | Graph,
     hereditary-pruned enumeration, where the host minus `anchor` is already
     known pattern-free, so any embedding must pass through it.
     """
-    pg = _pattern_graph(p)
-    k = pg.n
-    if k == 0 or k > host.n:
-        return None
-    base_order = _match_order(pg)
-    hdeg_anchor = host.degree(anchor)
-    for pinned in base_order:
-        if pg.degree(pinned) > hdeg_anchor:
-            continue
-        image = [-1] * k
-        image[pinned] = anchor
-        order = [pinned] + [q for q in base_order if q != pinned]
-        if _extend(host, pg, order, image, 1, 1 << anchor):
-            return tuple(image)
-    return None
+    plans = (p._through_plans if isinstance(p, Pattern)
+             else _anchored_plans(p))
+    return _first_through(host, _degree_masks(host), plans, anchor)
+
+
+@cache
+def _named(names: frozenset[str]) -> tuple[Pattern, ...]:
+    """The named catalog patterns in catalog order; one entry per name set."""
+    unknown = names.difference(pattern_names())
+    if unknown:
+        raise ValueError(f"unknown pattern name(s): {sorted(unknown)}")
+    return tuple(p for p in catalog() if p.name in names)
 
 
 def find_any_pattern(host: Graph, names: Iterable[str],
                      required_vertex: Optional[int] = None
                      ) -> Optional[tuple[str, Embedding]]:
     """First (catalog order) pattern from `names` embedded in the host."""
-    wanted = set(names)
-    unknown = wanted.difference(p.name for p in catalog())
-    if unknown:
-        raise ValueError(f"unknown pattern name(s): {sorted(unknown)}")
-    for p in catalog():
-        if p.name not in wanted:
-            continue
+    wanted = _named(frozenset(names))
+    at_least = _degree_masks(host)
+    for p in wanted:
         if required_vertex is None:
-            emb = find_induced(host, p)
+            emb = _first(host, at_least, p._plan)
         else:
-            emb = _find_induced_through(host, p, required_vertex)
+            emb = _first_through(host, at_least, p._through_plans,
+                                 required_vertex)
         if emb is not None:
             return (p.name, emb)
     return None

@@ -86,6 +86,14 @@ class TestParams:
         assert code == 3
         assert "parse error" in err
 
+    def test_non_ascii_edge_list_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "graph.txt"
+        path.write_bytes(b"1 \xc3\xa9\n")
+        code, out, err = run(capsys, "params", "--edge-list", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == f"expodom: parse error: {path}:1: non-ASCII byte\n"
+
 
 class TestMember:
     def test_member_true(self, capsys):
@@ -132,9 +140,10 @@ class TestMatch:
         assert data["patterns"] == ["K3", "K4"]
 
     def test_unknown_pattern_exit_2(self, capsys):
-        code, _, err = run(capsys, "match", "C~", "--patterns", "NOSUCH")
-        assert code == 2
-        assert "NOSUCH" in err
+        for _ in range(2):  # the second call must not be answered from memo
+            code, _, err = run(capsys, "match", "C~", "--patterns", "NOSUCH")
+            assert code == 2
+            assert "NOSUCH" in err
 
 
 class TestEnum:
@@ -160,6 +169,12 @@ class TestEnum:
     def test_cap_exit_4(self, capsys):
         code, _, _ = run(capsys, "enum", "--n", "11", "--format", "count")
         assert code == 4
+
+
+    def test_unknown_free_name_exit_2(self, capsys):
+        code, _, err = run(capsys, "enum", "--n", "4", "--free", "BOGUS")
+        assert code == 2
+        assert "BOGUS" in err
 
 
 class TestVerify:
@@ -216,6 +231,15 @@ class TestVerify:
                             "--max-n", "6", "--graphs", str(path))
         del internal["elapsed_seconds"], external["elapsed_seconds"]
         assert external == internal
+
+    def test_non_ascii_graphs_file_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "graphs.g6"
+        path.write_bytes(b"A_\n\xc3\xa9\n")
+        code, out, err = run(capsys, "verify", "--sweep", "theorem1",
+                             "--graphs", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == f"expodom: parse error: {path}:2: non-ASCII byte\n"
 
     def test_cache_file_written(self, capsys, tmp_path):
         path = tmp_path / "cache.tsv"
@@ -312,6 +336,17 @@ class TestUsage:
         code, _, err = run(capsys, "params")
         assert code == 3
         assert "no graph given" in err
+
+    @pytest.mark.parametrize("command", [
+        ("verify", "--sweep", "corollary2", "--max-n", "4"),
+        ("minimal", "--max-n", "4"),
+    ])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, capsys, command, jobs):
+        code, out, err = run(capsys, *command, "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert f"argument --jobs: must be at least 1, got {jobs}" in err
 
     def test_missing_edge_list_file_exit_3(self, capsys):
         code, _, _ = run(capsys, "params", "--edge-list", "/nonexistent/x")

@@ -1,12 +1,16 @@
+import hashlib
 import math
+import random
 
 import networkx as nx
 import pytest
 
+from expodom.enumeration import connected_graphs
 from expodom.graphs import canonical_code, from_edge_list, girth, encode_graph6
 from expodom.patterns import (
     OBSTRUCTION_NAMES,
     TRIANGLE_RESTRICTION_NAMES,
+    _find_induced_through,
     catalog,
     find_any_pattern,
     find_induced,
@@ -16,7 +20,8 @@ from expodom.patterns import (
     pattern_names,
     verify_catalog,
 )
-from conftest import cycle_graph, path_graph, random_graph
+from conftest import cycle_graph, path_graph, random_connected_graph, \
+    random_graph
 
 import oracles
 
@@ -136,6 +141,47 @@ class TestFindInduced:
             for p in small:
                 assert (find_induced(host, p.graph) is not None) == \
                     (oracles.find_induced_oracle(host, p.graph) is not None)
+
+    def test_embeddings_pinned(self):
+        # every first embedding, anchored or not, of every catalog pattern in
+        # every connected graph of order <= 7; digest measured on the
+        # per-pair matcher that the candidate-mask search replaced
+        digest = hashlib.sha256()
+        calls = 0
+        for n in range(1, 8):
+            for g in connected_graphs(n):
+                code = encode_graph6(g)
+                for p in catalog():
+                    digest.update(
+                        f"{code} {p.name} - {find_induced(g, p)}\n".encode())
+                    calls += 1
+                    for a in range(g.n):
+                        hit = _find_induced_through(g, p, a)
+                        digest.update(
+                            f"{code} {p.name} {a} {hit}\n".encode())
+                        calls += 1
+        assert calls == 108878
+        assert digest.hexdigest() == ("5d88004f2f007d001978c939d3d67408"
+                                      "082f5058b43cb78bc292648d19203414")
+
+    def test_ad_hoc_graph_patterns_match_oracle(self):
+        # patterns outside the catalog get a plan per call
+        rng = random.Random(6)
+        other = random_connected_graph(rng, 6)
+        hosts = [random_graph(rng, 7, 0.5) for _ in range(300)]
+        hosts += [g for n in range(1, 7) for g in connected_graphs(n)]
+        for p in (cycle_graph(5), other):
+            for host in hosts:
+                hit = find_induced(host, p)
+                assert (hit is None) == \
+                    (oracles.find_induced_oracle(host, p) is None), \
+                    (encode_graph6(host), encode_graph6(p))
+                if hit is not None:
+                    assert all(((host.adj[hit[i]] >> hit[j]) & 1)
+                               == ((p.adj[i] >> j) & 1)
+                               for i in range(p.n) for j in range(p.n)
+                               if i != j)
+                    assert len(set(hit)) == p.n
 
     def test_matches_networkx_on_medium_hosts(self, rng):
         for _ in range(25):
