@@ -76,6 +76,10 @@ class ResultsCache:
     def get(self, graph6: str) -> Optional[tuple[int, int, int]]:
         return self._records.get(graph6)
 
+    def items(self) -> Iterable[tuple[str, tuple[int, int, int]]]:
+        """Every (graph6, values) record held, in file order."""
+        return self._records.items()
+
     def put(self, graph6: str, values: tuple[int, int, int]) -> None:
         if graph6 in self._records:
             return
@@ -99,7 +103,3 @@ def cache_from_environment() -> Optional[ResultsCache]:
     path = os.environ.get(CACHE_ENV_VAR)
     return ResultsCache(path) if path else None
 
-
-def records(cache: ResultsCache) -> Iterable[CacheRecord]:
-    for g6, (a, b, c) in sorted(cache._records.items()):
-        yield CacheRecord(g6, a, b, c)

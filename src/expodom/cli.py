@@ -9,8 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import closing
-from typing import Iterator, Optional
+from contextlib import closing, nullcontext
+from typing import Callable, Iterable, Iterator, Optional
 
 from . import __version__
 from .cache import ResultsCache, cache_from_environment
@@ -37,31 +37,41 @@ PARAMS_ORDER_CAP = 20
 _SWEEPS = {name: spec.run for name, spec in SWEEPS.items()}
 
 
-def _ascii_lines(path: str) -> Iterator[tuple[int, str]]:
-    """Numbered lines of an input file; a non-ASCII byte is a parse error."""
-    # surrogateescape reads past a bad byte, so the error can name its line
-    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+def _ascii_lines(path: str, parse: Callable[[str], Iterable]) -> Iterator:
+    """What `parse` yields for each line of a file, or of stdin for '-'.
+
+    A parse error or a non-ASCII byte, whatever the locale, names path:line.
+    """
+    # stdin's bytes when it has them; surrogateescape reads past a bad byte
+    stdin = getattr(sys.stdin, "buffer", sys.stdin)
+    name = "<stdin>" if path == "-" else path
+    with (nullcontext(stdin) if path == "-" else
+          open(path, "r", encoding="ascii", errors="surrogateescape")) as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.isascii():
-                raise Graph6Error(f"{path}:{lineno}: non-ASCII byte")
-            yield lineno, line
+            if isinstance(line, bytes):
+                line = line.decode("ascii", errors="surrogateescape")
+            try:
+                if not line.isascii():
+                    raise Graph6Error("non-ASCII byte")
+                yield from parse(line)
+            except Graph6Error as exc:
+                raise Graph6Error(f"{name}:{lineno}: {exc}") from None
+
+
+def _edge(line: str) -> list[tuple[int, int]]:
+    parts = line.split()
+    if not parts or parts[0].startswith("#"):
+        return []
+    if len(parts) != 2:
+        raise Graph6Error("expected 'u v'")
+    try:
+        return [(int(parts[0]), int(parts[1]))]
+    except ValueError:
+        raise Graph6Error("vertices must be integers") from None
 
 
 def _read_edge_list(path: str, n: Optional[int]) -> Graph:
-    edges = []
-    for lineno, raw in _ascii_lines(path):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise Graph6Error(f"{path}:{lineno}: expected 'u v'")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise Graph6Error(
-                f"{path}:{lineno}: vertices must be integers") from None
-        edges.append((u, v))
+    edges = list(_ascii_lines(path, _edge))
     if n is None:
         if not edges:
             raise Graph6Error(f"{path}: empty edge list needs --n")
@@ -69,21 +79,22 @@ def _read_edge_list(path: str, n: Optional[int]) -> Graph:
     return from_edge_list(n, edges)
 
 
+def _graphs(path: str) -> Iterator[Graph]:
+    """The graph6 graphs of a file, or of stdin for '-'."""
+    return _ascii_lines(path, lambda line: read_graph6_stream([line]))
+
+
 def _load_graph(args) -> Graph:
     if getattr(args, "edge_list", None):
         return _read_edge_list(args.edge_list, getattr(args, "n", None))
-    text = args.graph
-    if text is None:
+    if args.graph is None:
         raise Graph6Error("no graph given (graph6 argument or --edge-list)")
-    if text == "-":
-        for line in sys.stdin:
-            line = line.strip()
-            if line:
-                text = line
-                break
-        else:
-            raise Graph6Error("stdin was empty")
-    return decode_graph6(text)
+    if args.graph != "-":
+        return decode_graph6(args.graph)
+    g = next(_graphs("-"), None)
+    if g is None:
+        raise Graph6Error("stdin was empty")
+    return g
 
 
 def _split_names(values: list[str]) -> tuple[str, ...]:
@@ -177,9 +188,8 @@ def cmd_verify(args) -> int:
     with closing(_make_store(args)) as store:
         source = None
         if args.graphs:
-            external = list(read_graph6_stream(
-                line for _, line in _ascii_lines(args.graphs)))
-            source = levels_from_graphs(external, max_n, spec.restriction,
+            source = levels_from_graphs(list(_graphs(args.graphs)), max_n,
+                                        spec.restriction,
                                         spec.stream == "trees")
         report = _SWEEPS[args.sweep](max_n=max_n, jobs=args.jobs, store=store,
                                      source=source)

@@ -3,14 +3,17 @@
 A graph belongs to the EXPONENTIAL class when every induced subgraph H has
 gamma_e(H) = gamma(H), and to the POROUS class when every induced subgraph
 has gamma_e_star(H) = gamma(H).  Component additivity of all three
-parameters means only connected induced subgraphs need checking, and the
-membership recursion "g is in the class iff equality holds for g and g-v is
-in the class for every v" memoizes on canonical codes so sweeps share work
-across the whole enumeration.
+parameters means only connected induced subgraphs need checking, so a
+disconnected input is split into its components once, at the top.
 
-The recursion actually computes, per canonical class, the minimum order of
-a connected induced violator (or None), which yields minimum-order
-witnesses for free.
+`ParamStore.violators` then recurses over connected graphs only: g is in
+the class iff equality holds for g and for every connected card g-v.  The
+cards with v a cut vertex are never needed: a connected proper induced
+subgraph H of g lies in some connected card, because contracting H in a
+spanning tree of g that extends one of H leaves a tree with a leaf w
+outside H, and g-w is connected and contains H.  The recursion memoizes,
+per canonical class, a minimum-order connected induced violator (or None):
+sweeps share work across the whole enumeration, and get witnesses free.
 """
 
 from __future__ import annotations
@@ -131,11 +134,8 @@ class ParamStore:
         self._violators: dict[bytes, tuple] = {}
         self.obstructions_checked = False
         if results_cache is not None:
-            from .cache import records
-
-            for rec in records(results_cache):
-                vals = (rec.gamma, rec.gamma_e, rec.gamma_e_star)
-                self._params[rec.graph6.encode("ascii")] = vals
+            for g6, vals in results_cache.items():
+                self._params[g6.encode("ascii")] = vals
 
     def known(self, code: bytes) -> bool:
         return code in self._params
@@ -162,6 +162,28 @@ class ParamStore:
         if self.results_cache is not None and chain_ok:
             self.results_cache.put(code.decode("ascii"), vals)
 
+    def violators(self, g: Graph, code: Optional[bytes] = None) -> tuple:
+        """((order, code) or None) per kind: minimum-order violators of g.
+
+        g must be connected and nonempty.  `code`, when given, is its
+        canonical code, saving a labeling.
+        """
+        if code is None:
+            code = canonical_code(g)
+        got = self._violators.get(code)
+        if got is not None:
+            return got
+        gamma, *values = self.params_for_code(code, g)
+        cards = (without_vertex(g, v) for v in range(g.n))
+        pairs = [self.violators(card) for card in cards
+                 if card.n and is_connected(card)]
+        # g itself, for each kind whose value differs from gamma
+        pairs.append(tuple(None if value == gamma else (g.n, code)
+                           for value in values))
+        result = tuple(map(_least, zip(*pairs)))
+        self._violators[code] = result
+        return result
+
     def close(self) -> None:
         """Close the results cache's append handle; the store stays usable."""
         if self.results_cache is not None:
@@ -179,66 +201,33 @@ def default_store() -> ParamStore:
 # Membership
 # ----------------------------------------------------------------------
 
+def _least(hits: Iterable) -> Optional[tuple]:
+    """The smallest (order, code) among the hits that are not None."""
+    return min((hit for hit in hits if hit is not None), default=None)
+
+
+def _components(g: Graph) -> list[Graph]:
+    """The components of g as graphs; g itself when it is connected."""
+    comps = connected_components(g)
+    if len(comps) == 1:
+        return [g]
+    return [induced_subgraph(g, comp) for comp in comps]
+
+
 def equality_holds(g: Graph, store: Optional[ParamStore] = None) -> bool:
     """gamma(g) == gamma_e(g), computed per component and summed."""
     store = store or _DEFAULT_STORE
-    gamma = gamma_e = 0
-    for comp in connected_components(g):
-        a, b, _ = store.params(induced_subgraph(g, comp))
-        gamma += a
-        gamma_e += b
-    return gamma == gamma_e
+    values = [store.params(h) for h in _components(g)]
+    return sum(v[0] for v in values) == sum(v[1] for v in values)
 
 
-def _merge(a, b):
-    # each is None or (order, code); smaller order wins, code breaks ties
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+#: Where a kind's violator sits in the pair `ParamStore.violators` returns.
+_SLOT = {ClassKind.EXPONENTIAL: 0, ClassKind.POROUS: 1}
 
 
-def _min_violators(g: Graph, store: ParamStore,
-                   code: Optional[bytes] = None) -> tuple:
-    """((order, code) or None) per kind: minimum-order connected violators.
-
-    `code`, when given, is the canonical code of g, saving a labeling.
-    """
-    if g.n == 0:
-        return (None, None)
-    comps = connected_components(g)
-    if len(comps) > 1:
-        best_e = best_p = None
-        for comp in comps:
-            r_e, r_p = _min_violators(induced_subgraph(g, comp), store)
-            best_e = _merge(best_e, r_e)
-            best_p = _merge(best_p, r_p)
-        return (best_e, best_p)
-    if code is None:
-        code = canonical_code(g)
-    got = store._violators.get(code)
-    if got is not None:
-        return got
-    gamma, gamma_e, gamma_e_star = store.params_for_code(code, g)
-    best_e = best_p = None
-    for v in range(g.n):
-        r_e, r_p = _min_violators(without_vertex(g, v), store)
-        best_e = _merge(best_e, r_e)
-        best_p = _merge(best_p, r_p)
-    if best_e is None and gamma_e != gamma:
-        best_e = (g.n, code)
-    if best_p is None and gamma_e_star != gamma:
-        best_p = (g.n, code)
-    result = (best_e, best_p)
-    store._violators[code] = result
-    return result
-
-
-def _violator_for_kind(g: Graph, kind: ClassKind, store: ParamStore,
-                       code: Optional[bytes] = None):
-    pair = _min_violators(g, store, code)
-    return pair[0] if kind is ClassKind.EXPONENTIAL else pair[1]
+def _violator_for_kind(g: Graph, kind: ClassKind, store: ParamStore):
+    """The minimum-order connected violator of any graph, or None."""
+    return _least(store.violators(h)[_SLOT[kind]] for h in _components(g))
 
 
 def _check_membership_order(n: int) -> None:
@@ -268,8 +257,7 @@ def is_minimal_forbidden(g: Graph, kind: ClassKind = ClassKind.EXPONENTIAL,
     _check_membership_order(g.n)
     if not is_connected(g) or g.n == 0:
         return False
-    store = store or _DEFAULT_STORE
-    hit = _violator_for_kind(g, kind, store)
+    hit = (store or _DEFAULT_STORE).violators(g)[_SLOT[kind]]
     return hit is not None and hit[0] == g.n
 
 
@@ -439,7 +427,7 @@ def _equivalence(name: str, stream: str, restriction: tuple[str, ...],
 
     def check(g: Graph, code: bytes, store: ParamStore,
               out: dict[str, list]) -> None:
-        member = _min_violators(g, store, code)[0] is None
+        member = store.violators(g, code)[0] is None
         if member != patterns.is_free(g, obstructions):
             out["counterexamples"].append(encode_graph6(g))
 
@@ -454,7 +442,7 @@ def _conjecture3_check(g: Graph, code: bytes, store: ParamStore,
     gamma, gamma_e, gamma_e_star = store.params_for_code(code, g)
     if not gamma_e_star <= gamma_e <= gamma:
         out["chain_violations"].append(encode_graph6(g))
-    viol_e, viol_p = _min_violators(g, store, code)
+    viol_e, viol_p = store.violators(g, code)
     if (viol_e is None) != (viol_p is None):
         out["divergences"].append(encode_graph6(g))
 
@@ -492,7 +480,7 @@ def minimal_spec(kind: ClassKind = ClassKind.EXPONENTIAL,
 
     def check(g: Graph, code: bytes, store: ParamStore,
               out: dict[str, list]) -> None:
-        hit = _violator_for_kind(g, kind, store, code)
+        hit = store.violators(g, code)[_SLOT[kind]]
         if hit is not None and hit[0] == g.n:
             gamma, gamma_e, gamma_e_star = store.params_for_code(code, g)
             out["found"].append({

@@ -14,7 +14,13 @@ import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from expodom.graphs import Graph
+from expodom.graphs import (
+    Graph,
+    canonical_code,
+    connected_components,
+    induced_subgraph,
+    without_vertex,
+)
 
 
 def adjacency(g: Graph) -> dict[int, set[int]]:
@@ -135,6 +141,41 @@ def find_induced_oracle(g: Graph, p: Graph):
         if ok:
             return cand
     return None
+
+
+def min_violators_oracle(g: Graph, params, memo: dict) -> tuple:
+    """((order, code) or None) per kind: minimum-order connected violators.
+
+    The reference for the membership recursion: it deletes every vertex,
+    cut vertices included, and splits every disconnected card into
+    components, labeling each one again.
+    `params(code, g)` gives (gamma, gamma_e, gamma_e_star) of a connected
+    g; `memo` holds results per canonical code.  Labeling is the package's.
+    """
+    if g.n == 0:
+        return (None, None)
+    comps = connected_components(g)
+    if len(comps) > 1:
+        pairs = [min_violators_oracle(induced_subgraph(g, comp), params, memo)
+                 for comp in comps]
+        return tuple(_least_oracle(hits) for hits in zip(*pairs))
+    code = canonical_code(g)
+    if code not in memo:
+        gamma, gamma_e, gamma_e_star = params(code, g)
+        pairs = [min_violators_oracle(without_vertex(g, v), params, memo)
+                 for v in range(g.n)]
+        best_e, best_p = (_least_oracle(hits) for hits in zip(*pairs))
+        if best_e is None and gamma_e != gamma:
+            best_e = (g.n, code)
+        if best_p is None and gamma_e_star != gamma:
+            best_p = (g.n, code)
+        memo[code] = (best_e, best_p)
+    return memo[code]
+
+
+def _least_oracle(hits):
+    found = [hit for hit in hits if hit is not None]
+    return min(found) if found else None
 
 
 def connected_oracle(g: Graph) -> bool:

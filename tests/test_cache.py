@@ -5,7 +5,6 @@ from expodom.cache import (
     CacheRecord,
     ResultsCache,
     cache_from_environment,
-    records,
 )
 
 
@@ -75,11 +74,14 @@ class TestResultsCache:
         with pytest.raises(ValueError):
             cache.put("C~", (1, 2, 2))
 
-    def test_records_sorted(self, tmp_path):
-        cache = ResultsCache(str(tmp_path / "cache.tsv"))
+    def test_items_in_file_order(self, tmp_path):
+        path = str(tmp_path / "cache.tsv")
+        cache = ResultsCache(path)
         cache.put("Bw", (1, 1, 1))
         cache.put("A_", (1, 1, 1))
-        assert [r.graph6 for r in records(cache)] == ["A_", "Bw"]
+        cache.close()
+        assert list(ResultsCache(path).items()) == [("Bw", (1, 1, 1)),
+                                                     ("A_", (1, 1, 1))]
 
     def test_creates_parent_directory(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "cache.tsv"

@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -56,10 +57,25 @@ class TestParams:
             for title, ps in want]
 
     def test_stdin_dash(self, capsys, monkeypatch):
-        import io
         monkeypatch.setattr("sys.stdin", io.StringIO(f"\n{P7_G6}\n"))
         data = run_json(capsys, "params", "-")
         assert data["gamma"]["value"] == 3
+
+    def test_stdin_read_as_bytes(self, capsys, monkeypatch):
+        # stdin under an ASCII locale: its bytes, not its text, are read
+        stdin = io.TextIOWrapper(io.BytesIO(f"\n{P7_G6}\n".encode()),
+                                 encoding="ascii")
+        monkeypatch.setattr("sys.stdin", stdin)
+        data = run_json(capsys, "params", "-")
+        assert data["gamma"]["value"] == 3
+
+    def test_non_ascii_stdin_exit_3(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xc3\xa9\n"), encoding="ascii")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run(capsys, "params", "-")
+        assert code == 3
+        assert out == ""
+        assert err == "expodom: parse error: <stdin>:1: non-ASCII byte\n"
 
     def test_edge_list_file(self, capsys, tmp_path):
         path = tmp_path / "graph.txt"
@@ -240,6 +256,25 @@ class TestVerify:
         assert code == 3
         assert out == ""
         assert err == f"expodom: parse error: {path}:2: non-ASCII byte\n"
+
+    def test_graphs_file_parse_error_names_line(self, capsys, tmp_path):
+        path = tmp_path / "graphs.g6"
+        path.write_text("A_\nnot graph6!\n")
+        code, out, err = run(capsys, "verify", "--sweep", "theorem1",
+                             "--graphs", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == (f"expodom: parse error: {path}:2: byte 32 outside "
+                       f"graph6 range\n")
+
+    def test_graphs_file_order_cap_exit_4(self, capsys, tmp_path):
+        path = tmp_path / "graphs.g6"
+        path.write_text("A_\n~?@@\n")  # order 65
+        code, out, err = run(capsys, "verify", "--sweep", "theorem1",
+                             "--graphs", str(path))
+        assert code == 4
+        assert out == ""
+        assert err == "expodom: order 65 exceeds the 64-vertex cap\n"
 
     def test_cache_file_written(self, capsys, tmp_path):
         path = tmp_path / "cache.tsv"

@@ -34,6 +34,7 @@ from expodom.hereditary import (
 )
 from expodom.patterns import OBSTRUCTION_NAMES, RESTRICTION_NAMES, pattern
 from conftest import cycle_graph, path_graph, random_connected_graph
+from oracles import min_violators_oracle
 
 # canonical graph6 of the seven obstruction classes
 CODES = {
@@ -169,6 +170,59 @@ class TestMembership:
                 for sub in itertools.combinations(range(g.n), k):
                     assert in_class(induced_subgraph(g, sub),
                                     ClassKind.EXPONENTIAL, store).member
+
+
+class TestConnectedCardRecursion:
+    """The recursion over connected cards against the all-deletions one."""
+
+    @pytest.fixture
+    def reference(self, store):
+        memo = {}
+        return lambda g: min_violators_oracle(g, store.params_for_code, memo)
+
+    @pytest.mark.parametrize("stream, max_n", [
+        (connected_graphs, 7),
+        (lambda n: connected_graphs(n, RESTRICTION_NAMES), 8),
+        (trees, 11),
+    ], ids=["connected7", "restricted8", "trees11"])
+    def test_every_class(self, store, reference, stream, max_n):
+        for n in range(1, max_n + 1):
+            for code, g in stream(n).pairs():
+                assert store.violators(g, code) == reference(g), \
+                    encode_graph6(g)
+
+    def test_random_labelings(self, reference, rng):
+        # a fresh store meets these labelings first, not the canonical ones
+        fresh = ParamStore()
+        for _ in range(200):
+            g = random_connected_graph(rng, rng.randint(6, 8))
+            assert fresh.violators(g) == reference(g), encode_graph6(g)
+
+    def test_disjoint_unions_through_in_class(self, reference, rng):
+        fresh = ParamStore()
+        pool = [obstruction(name) for name in OBSTRUCTION_NAMES]
+        verdicts = set()
+        for _ in range(80):
+            parts = [rng.choice(pool) if rng.random() < 0.3 else
+                     random_connected_graph(rng, rng.randint(1, 5))
+                     for _ in range(rng.randint(1, 3))]
+            n = rng.randint(len(parts) == 1, 2)  # isolated vertices
+            edges = []
+            for h in parts:
+                edges.extend((u + n, v + n) for u, v in h.edges())
+                n += h.n
+            if n > MEMBERSHIP_ORDER_CAP:
+                continue
+            order = list(range(n))
+            rng.shuffle(order)
+            g = relabel(from_edge_list(n, edges), order)
+            for kind, hit in zip(ClassKind, reference(g)):
+                got = in_class(g, kind, fresh)
+                assert got.member == (hit is None)
+                assert got.witness == (hit and hit[1].decode("ascii"))
+                verdicts.add(got.member)
+            assert not is_minimal_forbidden(g, ClassKind.EXPONENTIAL, fresh)
+        assert verdicts == {True, False}
 
 
 class TestMinimalForbidden:
