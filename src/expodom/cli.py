@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success (or membership/match query answered), 1 sweep found a
-counterexample, 2 usage error, 3 input parse error, 4 size cap refused.
+counterexample, 2 usage error, 3 input parse error, 4 size cap refused,
+5 startup gate failed (a results cache may hold wrong values).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .hereditary import (
     levels_from_graphs,
     minimal_spec,
 )
-from .patterns import find_any_pattern, pattern_names
+from .patterns import GateError, find_any_pattern, pattern_names
 
 #: exact exponential solves above this order are an overnight job, not a
 #: CLI call; refuse instead of hanging.
@@ -318,6 +319,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except Graph6Error as exc:
         print(f"expodom: parse error: {exc}", file=sys.stderr)
         return 3
+    except GateError as exc:
+        print(f"expodom: startup gate failed: {exc}; a results cache may "
+              "hold wrong values", file=sys.stderr)
+        return 5
     except SizeCapError as exc:
         print(f"expodom: {exc}", file=sys.stderr)
         return 4

@@ -8,17 +8,17 @@ code, and each level is kept in memory while the next is produced.
 
 Pattern restrictions are hereditary, so a restricted level can be grown
 from the restricted level below it; only embeddings through the new vertex
-need checking.  `filtered` is the post-hoc equivalent used to cross-check
-that shortcut.
+need checking.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator
 
-from .graphs import Graph, SizeCapError, canonical_code, canonical_graph, encode_graph6
+from .graphs import Graph, SizeCapError, canonical_code, decode_graph6
+from .graphs import canonical_graph  # kept for bench/tracer.py to patch
 from . import patterns
 
 MAX_CONNECTED_ORDER = 10
@@ -65,11 +65,6 @@ def trees(n: int, free_of: Iterable[str] = ()) -> GraphStream:
     return GraphStream(n, StreamMode.TREES, _normalize_names(free_of))
 
 
-def filtered(stream: GraphStream, names: Iterable[str]) -> GraphStream:
-    """The stream narrowed to graphs free of the named induced patterns."""
-    return replace(stream, free_of=stream.free_of | _normalize_names(names))
-
-
 def _normalize_names(names: Iterable[str]) -> frozenset[str]:
     out = frozenset(names)
     known = set(patterns.pattern_names())
@@ -111,10 +106,9 @@ def _level_pairs(mode: StreamMode, free_of: frozenset[str],
             child = _augment(parent, mask)
             if free_of and not patterns.is_free_with_new_vertex(child, free_of, k):
                 continue
-            rep = canonical_graph(child)
-            code = encode_graph6(rep).encode("ascii")
+            code = canonical_code(child)
             if code not in seen:
-                seen[code] = rep
+                seen[code] = decode_graph6(code)
     level = sorted(seen.items())
     _LEVELS[key] = level
     return level
@@ -132,8 +126,6 @@ def _augment(parent: Graph, neighborhood: int) -> Graph:
 
 def read_graph6_stream(lines: Iterable[str]) -> Iterator[Graph]:
     """Decode a graph6 text stream, skipping blanks and comment lines."""
-    from .graphs import decode_graph6
-
     for line in lines:
         s = line.strip()
         if not s or s.startswith("#"):

@@ -6,7 +6,8 @@ which keeps neighborhood unions, BFS frontiers and induced-subgraph masks to
 single integer operations.
 
 Also provides the graph6 codec (read/write), distances, components, girth,
-and a canonical form used for isomorphism dedup everywhere else.
+and the canonical code that names an isomorphism class everywhere else: the
+least graph6 bit string over the labeling search's leaves.
 """
 
 from __future__ import annotations
@@ -243,28 +244,33 @@ def girth(g: Graph):
 # graph6 codec
 # ----------------------------------------------------------------------
 
+def _column(row: int, order, j: int) -> int:
+    """graph6 column j: bits order[0..j-1] of `row`, the first one highest."""
+    col = 0
+    for i in range(j):
+        col = (col << 1) | ((row >> order[i]) & 1)
+    return col
+
+
+def _pack(n: int, columns: Iterable[int]) -> bytes:
+    """graph6 bytes of an order-n graph from its columns 1..n-1, in order."""
+    bits = 0
+    for j, col in enumerate(columns, start=1):
+        bits = (bits << j) | col
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    bits <<= 6 * need - nbits
+    head = [n] if n <= 62 else [63, n >> 12, (n >> 6) & 63, n & 63]
+    body = [(bits >> (6 * k)) & 63 for k in range(need - 1, -1, -1)]
+    return bytes(63 + x for x in head + body)
+
+
 def encode_graph6(g: Graph) -> str:
     """Standard graph6 line (no trailing newline)."""
     n = g.n
-    if n <= 62:
-        head = chr(63 + n)
-    else:
-        head = "~" + chr(63 + ((n >> 12) & 63)) + chr(63 + ((n >> 6) & 63)) + chr(63 + (n & 63))
-    out = []
-    acc = 0
-    nbits = 0
-    for j in range(1, n):
-        col = g.adj[j]
-        for i in range(j):
-            acc = (acc << 1) | ((col >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + acc))
-                acc = 0
-                nbits = 0
-    if nbits:
-        out.append(chr(63 + (acc << (6 - nbits))))
-    return head + "".join(out)
+    order = range(n)
+    return _pack(n, (_column(g.adj[j], order, j)
+                     for j in range(1, n))).decode("ascii")
 
 
 def graph6_bit_stream(text: str | bytes) -> tuple[int, int, int]:
@@ -329,10 +335,10 @@ def decode_graph6(text: str | bytes) -> Graph:
 #
 # Refined-partition backtracking: refine the ordered partition by neighbor
 # counts until equitable, then individualize each vertex of the first
-# non-singleton cell and recurse.  Every discrete leaf is an ordering; the
-# canonical ordering is the one whose adjacency bits, read in graph6 column
-# order, form the lexicographically smallest string.  Prefix pruning against
-# the best string so far keeps the tree small; a transposition-automorphism
+# non-singleton cell and recurse.  Every discrete leaf is an ordering, and
+# its graph6 columns, read in order, are a graph6 bit string.  The canonical
+# code is the least of these strings, packed.  Prefix pruning against the
+# best string so far keeps the tree small; a transposition-automorphism
 # (twin) skip inside the branch cell stops K_n-like cells exploding.
 
 def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
@@ -354,16 +360,14 @@ def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
     return cells
 
 
-def canonical_permutation(g: Graph) -> tuple[int, ...]:
+def canonical_code(g: Graph) -> bytes:
+    """graph6 bytes of g's canonical form; equal iff isomorphic."""
     n = g.n
-    if n <= 1:
-        return tuple(range(n))
     adj = g.adj
-    best_rows: list[int] | None = None
-    best_order: list[int] | None = None
+    best: list[int] | None = None
 
     def dfs(cells: list[int]) -> None:
-        nonlocal best_rows, best_order
+        nonlocal best
         order = []
         for c in cells:
             if c & (c - 1) == 0:
@@ -371,19 +375,12 @@ def canonical_permutation(g: Graph) -> tuple[int, ...]:
             else:
                 break
         p = len(order)
-        rows = []
-        for i in range(1, p):
-            ai = adj[order[i]]
-            r = 0
-            for j in range(i):
-                r = (r << 1) | ((ai >> order[j]) & 1)
-            rows.append(r)
-        if best_rows is not None and rows > best_rows[: len(rows)]:
+        rows = [_column(adj[order[i]], order, i) for i in range(1, p)]
+        if best is not None and rows > best[: len(rows)]:
             return
         if p == n:
-            if best_rows is None or rows < best_rows:
-                best_rows = rows
-                best_order = order
+            if best is None or rows < best:
+                best = rows
             return
         target = cells[p]
         tried: list[int] = []
@@ -400,16 +397,11 @@ def canonical_permutation(g: Graph) -> tuple[int, ...]:
             tried.append(v)
             dfs(_refine(adj, cells[:p] + [vb, target ^ vb] + cells[p + 1:]))
 
-    dfs(_refine(adj, [g.vertex_mask]))
-    assert best_order is not None
-    return tuple(best_order)
+    if n > 1:
+        dfs(_refine(adj, [g.vertex_mask]))
+    return _pack(n, best or ())
 
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonical representative of g's isomorphism class."""
-    return relabel(g, canonical_permutation(g))
-
-
-def canonical_code(g: Graph) -> bytes:
-    """graph6 bytes of the canonical representative; equal iff isomorphic."""
-    return encode_graph6(canonical_graph(g)).encode("ascii")
+    return decode_graph6(canonical_code(g))

@@ -34,7 +34,7 @@ from .graphs import (
     Graph,
     SizeCapError,
     canonical_code,
-    canonical_graph,
+    canonical_graph,  # kept for bench/tracer.py to patch
     connected_components,
     decode_graph6,
     encode_graph6,
@@ -45,6 +45,7 @@ from .graphs import (
 from . import patterns
 from .patterns import (
     OBSTRUCTION_NAMES,
+    GateError,
     RESTRICTION_NAMES,
     TRIANGLE_RESTRICTION_NAMES,
 )
@@ -193,10 +194,6 @@ class ParamStore:
 _DEFAULT_STORE = ParamStore()
 
 
-def default_store() -> ParamStore:
-    return _DEFAULT_STORE
-
-
 # ----------------------------------------------------------------------
 # Membership
 # ----------------------------------------------------------------------
@@ -270,21 +267,19 @@ def _params_worker(g6: str) -> tuple[str, tuple[int, int, int]]:
 
 
 def _warm_params(store: ParamStore, codes: list[bytes], jobs: int) -> None:
-    """Fill the store for every code in the batch, optionally in parallel.
+    """Solve the batch's missing codes in `jobs` worker processes.
 
     Results merge in submission order, so worker count never changes any
-    report.  Only the leaf solver calls parallelize; the recursion stays in
-    this process where the memo lives.
+    report.  Serially there is nothing to warm: each check solves its graph
+    on first lookup, and the recursion stays in this process where the memo
+    lives.
     """
     missing = [code.decode("ascii") for code in codes if not store.known(code)]
-    if not missing:
+    if jobs < 2 or len(missing) < 2:
         return
-    if jobs > 1 and len(missing) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(jobs) as pool:
-            results = pool.map(_params_worker, missing, chunksize=64)
-    else:
-        results = [_params_worker(g6) for g6 in missing]
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(jobs) as pool:
+        results = pool.map(_params_worker, missing, chunksize=64)
     for g6, vals in results:
         store.store(g6.encode("ascii"), vals)
 
@@ -310,9 +305,9 @@ def _obstruction_self_check(store: ParamStore) -> None:
         g = patterns.pattern(name).graph
         hit = _violator_for_kind(g, ClassKind.EXPONENTIAL, store)
         if hit is None:
-            raise AssertionError(f"obstruction {name} is not a violator")
+            raise GateError(f"obstruction {name} is not a violator")
         if hit[0] < g.n and hit[1] not in codes:
-            raise AssertionError(
+            raise GateError(
                 f"obstruction {name} contains a violator from outside "
                 f"the catalog")
     store.obstructions_checked = True
@@ -341,9 +336,10 @@ def levels_from_graphs(graphs: Iterable[Graph], max_n: int,
             continue
         if names and not patterns.is_free(g, names):
             continue
-        rep = canonical_graph(g)
-        code = encode_graph6(rep).encode("ascii")
-        buckets.setdefault(g.n, {})[code] = rep
+        code = canonical_code(g)
+        level = buckets.setdefault(g.n, {})
+        if code not in level:
+            level[code] = decode_graph6(code)
 
     def source(n: int) -> list[tuple[bytes, Graph]]:
         return sorted(buckets.get(n, {}).items())

@@ -29,6 +29,10 @@ from . import domination
 Embedding = tuple[int, ...]
 
 
+class GateError(AssertionError):
+    """A startup gate found wrong parameter values (solved or cached)."""
+
+
 @dataclass(frozen=True)
 class Pattern:
     name: str
@@ -128,7 +132,7 @@ def verify_catalog() -> None:
     """Solver-backed self-check of the obstruction patterns.
 
     Each of P7, C7, F1..F5 must have domination number 3 and exponential
-    domination number 2.  Raises AssertionError if a transcription slipped.
+    domination number 2.  Raises GateError if a transcription slipped.
     """
     catalog()
     for name in OBSTRUCTION_NAMES:
@@ -136,7 +140,7 @@ def verify_catalog() -> None:
         gamma = domination._gamma_value(g)
         gamma_e = domination.exponential_domination_number(g, gamma).value
         if (gamma, gamma_e) != (3, 2):
-            raise AssertionError(
+            raise GateError(
                 f"obstruction {name}: expected parameters (3, 2), "
                 f"got ({gamma}, {gamma_e})")
 

@@ -312,6 +312,19 @@ class TestVerify:
         assert code == 0
         assert closed == [path]
 
+    def test_wrong_cache_record_fails_gate_exit_5(self, capsys, tmp_path):
+        # a well-formed record with wrong values: P3 is (1, 1, 1), not
+        # (2, 1, 1), so the obstructions seem to contain a foreign violator
+        path = tmp_path / "bad.tsv"
+        path.write_text("BW\t2\t1\t1\n")
+        code, out, err = run(capsys, "verify", "--sweep", "corollary2",
+                             "--max-n", "5", "--cache", str(path))
+        assert code == 5
+        assert out == ""
+        assert err.startswith("expodom: startup gate failed: ")
+        assert "a results cache may hold wrong values" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "env-cache.tsv"
         monkeypatch.setenv(CACHE_ENV_VAR, str(path))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -22,6 +23,7 @@ from expodom.graphs import (
     set_distance,
     without_vertex,
 )
+from expodom.enumeration import _augment, connected_graphs
 from conftest import cycle_graph, path_graph, random_graph
 
 from oracles import plain_distance_oracle
@@ -169,8 +171,9 @@ class TestGraph6:
         assert encode_graph6(g).startswith("~")
 
     def test_matches_networkx_encoding(self, rng):
-        for _ in range(30):
-            g = random_graph(rng, rng.randrange(1, 20))
+        orders = [rng.randrange(1, 20) for _ in range(30)]
+        for n in orders + [0, 61, 62, 63, 64]:  # and the long form
+            g = random_graph(rng, n)
             G = nx.Graph()
             G.add_nodes_from(range(g.n))
             G.add_edges_from(g.edges())
@@ -242,6 +245,22 @@ class TestCanonical:
                 gb.add_nodes_from(range(b.n))
                 same = canonical_code(a) == canonical_code(b)
                 assert same == nx.is_isomorphic(ga, gb)
+
+    def test_candidate_children_digest(self):
+        # every candidate the connected enumeration labels up to order 8:
+        # each connected graph of order 1..7 in stream order, plus a new
+        # vertex on each nonempty neighbourhood in mask order.  SHA-256 over
+        # code + b"\n", pinned from the relabel-then-encode implementation
+        digest = hashlib.sha256()
+        calls = 0
+        for n in range(1, 8):
+            for g in connected_graphs(n):
+                for mask in range(1, 1 << n):
+                    digest.update(canonical_code(_augment(g, mask)) + b"\n")
+                    calls += 1
+        assert calls == 116_146
+        assert digest.hexdigest() == (
+            "3bd582446954b6c76ad180d72b4b560709df9b865556909a607acd7d74b9c944")
 
     def test_complete_graph_fast(self):
         # the twin skip must keep K_n from exploding into n! branches
