@@ -16,7 +16,8 @@ from typing import Callable, Iterable, Iterator, Optional
 from . import __version__
 from .cache import ResultsCache, cache_from_environment
 from .domination import compute_all, porous_weight_table, weight_table
-from .enumeration import connected_graphs, read_graph6_stream, trees
+from .enumeration import connected_graphs, levels_from_graphs, \
+    read_graph6_stream, trees
 from .graphs import Graph, Graph6Error, SizeCapError, decode_graph6, \
     encode_graph6, from_edge_list
 from .hereditary import (
@@ -24,7 +25,6 @@ from .hereditary import (
     ClassKind,
     ParamStore,
     in_class,
-    levels_from_graphs,
     minimal_spec,
 )
 from .patterns import GateError, find_any_pattern, pattern_names
@@ -66,9 +66,14 @@ def _edge(line: str) -> list[tuple[int, int]]:
     if len(parts) != 2:
         raise Graph6Error("expected 'u v'")
     try:
-        return [(int(parts[0]), int(parts[1]))]
+        u, v = int(parts[0]), int(parts[1])
     except ValueError:
         raise Graph6Error("vertices must be integers") from None
+    if u < 0 or v < 0:
+        raise Graph6Error("vertices must be nonnegative")
+    if u == v:
+        raise Graph6Error(f"self-loop at {u}")
+    return [(u, v)]
 
 
 def _read_edge_list(path: str, n: Optional[int]) -> Graph:
@@ -167,11 +172,11 @@ def cmd_match(args) -> int:
 
 def cmd_enum(args) -> int:
     free = _split_names(args.free) if args.free else ()
-    stream = trees(args.n, free) if args.trees else connected_graphs(args.n, free)
+    graphs = (trees if args.trees else connected_graphs)(args.n, free)
     if args.format == "count":
-        print(sum(1 for _ in stream))
+        print(len(graphs))
     else:
-        for g in stream:
+        for g in graphs:
             print(encode_graph6(g))
     return 0
 
@@ -189,9 +194,8 @@ def cmd_verify(args) -> int:
     with closing(_make_store(args)) as store:
         source = None
         if args.graphs:
-            source = levels_from_graphs(list(_graphs(args.graphs)), max_n,
-                                        spec.restriction,
-                                        spec.stream == "trees")
+            source = levels_from_graphs(_graphs(args.graphs), max_n,
+                                        spec.restriction, spec.stream)
         report = _SWEEPS[args.sweep](max_n=max_n, jobs=args.jobs, store=store,
                                      source=source)
     print(report.to_json())

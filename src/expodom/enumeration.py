@@ -1,4 +1,8 @@
-"""Streams of pairwise non-isomorphic connected graphs and trees.
+"""Host classes, level by level: connected graphs and trees.
+
+A host class is a `StreamMode` plus the patterns its graphs are free of,
+and only this module says what one is: `levels` enumerates a class and
+`levels_from_graphs` filters an external collection to it.
 
 Level-by-level augmentation: every connected graph of order k+1 arises from
 a connected graph of order k by adding one vertex with a nonempty
@@ -13,11 +17,11 @@ need checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .graphs import Graph, SizeCapError, canonical_code, decode_graph6
+from .graphs import Graph, SizeCapError, canonical_code, decode_graph6, \
+    is_connected
 from .graphs import canonical_graph  # kept for bench/tracer.py to patch
 from . import patterns
 
@@ -26,52 +30,74 @@ MAX_TREE_ORDER = 14
 
 
 class StreamMode(Enum):
+    """A host class before its pattern restriction."""
+
     CONNECTED = "connected"
     TREES = "trees"
 
 
-@dataclass(frozen=True)
-class GraphStream:
-    """Deterministic stream of the canonical representatives of one order."""
+#: Per mode, the noun of its cap message and the largest order enumerated.
+_CAPS = {StreamMode.CONNECTED: ("connected", MAX_CONNECTED_ORDER),
+         StreamMode.TREES: ("tree", MAX_TREE_ORDER)}
 
-    order: int
-    mode: StreamMode
-    free_of: frozenset[str]
-
-    def __iter__(self) -> Iterator[Graph]:
-        return (g for _, g in self.pairs())
-
-    def pairs(self) -> Iterator[tuple[bytes, Graph]]:
-        """(canonical code, graph) per class, in code order."""
-        return iter(_level_pairs(self.mode, self.free_of, self.order))
+#: A sweep's graphs of one order: (canonical code, graph) pairs, each graph
+#: its class's canonical representative, in code order.
+LevelSource = Callable[[int], Iterable[tuple[bytes, Graph]]]
 
 
-def connected_graphs(n: int, free_of: Iterable[str] = ()) -> GraphStream:
+def levels(mode: StreamMode, free_of: Iterable[str],
+           max_n: int) -> LevelSource:
+    """The enumerated levels of one host class, for orders 1..max_n.
+
+    The order, the stream's cap and the pattern names are checked here,
+    before any level is built.
+    """
+    if max_n < 1:
+        raise ValueError("order must be at least 1")
+    noun, cap = _CAPS[mode]
+    if max_n > cap:
+        raise SizeCapError(f"{noun} enumeration capped at order {cap}")
+    names = frozenset(free_of)
+    patterns._named(names)  # raises on an unknown name
+    # _level_pairs is looked up per call, so a patch of it applies
+    return lambda n: _level_pairs(mode, names, n)
+
+
+def connected_graphs(n: int, free_of: Iterable[str] = ()) -> list[Graph]:
     """All connected graphs of order exactly n, one per isomorphism class."""
-    if n < 1:
-        raise ValueError("order must be at least 1")
-    if n > MAX_CONNECTED_ORDER:
-        raise SizeCapError(
-            f"connected enumeration capped at order {MAX_CONNECTED_ORDER}")
-    return GraphStream(n, StreamMode.CONNECTED, _normalize_names(free_of))
+    return [g for _, g in levels(StreamMode.CONNECTED, free_of, n)(n)]
 
 
-def trees(n: int, free_of: Iterable[str] = ()) -> GraphStream:
+def trees(n: int, free_of: Iterable[str] = ()) -> list[Graph]:
     """All trees of order exactly n, one per isomorphism class."""
-    if n < 1:
-        raise ValueError("order must be at least 1")
-    if n > MAX_TREE_ORDER:
-        raise SizeCapError(f"tree enumeration capped at order {MAX_TREE_ORDER}")
-    return GraphStream(n, StreamMode.TREES, _normalize_names(free_of))
+    return [g for _, g in levels(StreamMode.TREES, free_of, n)(n)]
 
 
-def _normalize_names(names: Iterable[str]) -> frozenset[str]:
-    out = frozenset(names)
-    known = set(patterns.pattern_names())
-    unknown = out - known
-    if unknown:
-        raise ValueError(f"unknown pattern name(s): {sorted(unknown)}")
-    return out
+def levels_from_graphs(graphs: Iterable[Graph], max_n: int,
+                       free_of: Iterable[str] = (),
+                       mode: StreamMode = StreamMode.CONNECTED
+                       ) -> LevelSource:
+    """Adapt an external graph collection to a sweep source.
+
+    Keeps the graphs of order 1..max_n in the host class (connected, a tree
+    for TREES, free of `free_of`), canonicalizes and dedups them.  The
+    source returns each level as (canonical code, representative) pairs
+    sorted by code.  No stream cap applies.
+    """
+    names = tuple(free_of)
+    buckets: dict[int, dict[bytes, Graph]] = {}
+    for g in graphs:
+        if g.n < 1 or g.n > max_n or not is_connected(g):
+            continue
+        if mode is StreamMode.TREES and g.m != g.n - 1:
+            continue
+        if names and not patterns.is_free(g, names):
+            continue
+        code = canonical_code(g)
+        level = buckets.setdefault(g.n, {})
+        if code not in level:
+            level[code] = decode_graph6(code)
+    return lambda n: sorted(buckets.get(n, {}).items())
 
 
 # ----------------------------------------------------------------------

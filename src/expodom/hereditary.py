@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Optional
 from . import __version__
 from .cache import ResultsCache
 from .domination import parameter_values
-from .enumeration import connected_graphs, trees
+from .enumeration import LevelSource, StreamMode, levels
 from .graphs import (
     Graph,
     SizeCapError,
@@ -37,7 +37,6 @@ from .graphs import (
     canonical_graph,  # kept for bench/tracer.py to patch
     connected_components,
     decode_graph6,
-    encode_graph6,
     induced_subgraph,
     is_connected,
     without_vertex,
@@ -141,13 +140,11 @@ class ParamStore:
     def known(self, code: bytes) -> bool:
         return code in self._params
 
-    def params_for_code(self, code: bytes,
-                        g: Optional[Graph] = None) -> tuple[int, int, int]:
+    def params_for_code(self, code: bytes, g: Graph) -> tuple[int, int, int]:
+        """Values for g, a connected graph whose canonical code is `code`."""
         got = self._params.get(code)
         if got is not None:
             return got
-        if g is None:
-            g = decode_graph6(code.decode("ascii"))
         vals = parameter_values(g)
         self.store(code, vals)
         return vals
@@ -274,10 +271,16 @@ def _warm_params(store: ParamStore, codes: list[bytes], jobs: int) -> None:
     on first lookup, and the recursion stays in this process where the memo
     lives.
     """
-    missing = [code.decode("ascii") for code in codes if not store.known(code)]
-    if jobs < 2 or len(missing) < 2:
+    if jobs < 2:
         return
-    ctx = multiprocessing.get_context("fork")
+    missing = [code.decode("ascii") for code in codes if not store.known(code)]
+    if len(missing) < 2:
+        return
+    # fork where offered, else the platform default, which is listed first;
+    # `_params_worker` needs no state inherited from this process
+    methods = multiprocessing.get_all_start_methods()
+    ctx = multiprocessing.get_context("fork" if "fork" in methods
+                                      else methods[0])
     with ctx.Pool(jobs) as pool:
         results = pool.map(_params_worker, missing, chunksize=64)
     for g6, vals in results:
@@ -313,40 +316,6 @@ def _obstruction_self_check(store: ParamStore) -> None:
     store.obstructions_checked = True
 
 
-#: A sweep's graphs of one order: (canonical code, graph) pairs, each graph
-#: its class's canonical representative, in code order.
-LevelSource = Callable[[int], Iterable[tuple[bytes, Graph]]]
-
-
-def levels_from_graphs(graphs: Iterable[Graph], max_n: int,
-                       free_of: Iterable[str] = (),
-                       trees_only: bool = False) -> LevelSource:
-    """Adapt an external graph collection to a sweep source.
-
-    Keeps connected graphs within the order bound that satisfy the
-    restriction, canonicalizes and dedups them.  The source returns each
-    level as (canonical code, representative) pairs sorted by code.
-    """
-    names = tuple(free_of)
-    buckets: dict[int, dict[bytes, Graph]] = {}
-    for g in graphs:
-        if g.n < 1 or g.n > max_n or not is_connected(g):
-            continue
-        if trees_only and g.m != g.n - 1:
-            continue
-        if names and not patterns.is_free(g, names):
-            continue
-        code = canonical_code(g)
-        level = buckets.setdefault(g.n, {})
-        if code not in level:
-            level[code] = decode_graph6(code)
-
-    def source(n: int) -> list[tuple[bytes, Graph]]:
-        return sorted(buckets.get(n, {}).items())
-
-    return source
-
-
 #: Per-graph check of a sweep: (graph, its canonical code, store, the
 #: report lists by name), appending what it finds.
 Check = Callable[[Graph, bytes, ParamStore, dict[str, list]], None]
@@ -363,7 +332,7 @@ class SweepSpec:
     """
 
     name: str
-    stream: str  # "connected" or "trees"
+    stream: StreamMode
     restriction: tuple[str, ...]
     kind: str
     default_max_n: int
@@ -378,15 +347,15 @@ class SweepSpec:
         """Check every graph of the stream (or of `source`) up to max_n."""
         if max_n is None:
             max_n = self.default_max_n
+        # refuse a bad order, a cap or a pattern name before any work
+        if max_n < 1:
+            raise ValueError(f"max_n must be at least 1, got {max_n}")
         _check_membership_order(max_n)
+        if source is None:
+            source = levels(self.stream, self.restriction, max_n)
         store = store or _DEFAULT_STORE
         started = time.perf_counter()
         _obstruction_self_check(store)
-        if source is None:
-            stream = trees if self.stream == "trees" else connected_graphs
-
-            def source(n: int) -> Iterable[tuple[bytes, Graph]]:
-                return stream(n, self.restriction).pairs()
         counts: dict[int, int] = {}
         found: dict[str, list] = {name: [] for name in self.lists}
         for n in range(1, max_n + 1):
@@ -402,7 +371,7 @@ class SweepSpec:
         return VerificationReport(
             sweep=self.name,
             max_n=max_n,
-            stream=self.stream,
+            stream=self.stream.value,
             restriction=self.restriction,
             kind=self.kind,
             counts=counts,
@@ -410,13 +379,13 @@ class SweepSpec:
             extras=extras,
             elapsed_seconds=round(time.perf_counter() - started, 3),
             config_hash=_config_hash(sweep=self.name, max_n=max_n,
-                                     stream=self.stream,
+                                     stream=self.stream.value,
                                      restriction=list(self.restriction),
                                      **self.config),
         )
 
 
-def _equivalence(name: str, stream: str, restriction: tuple[str, ...],
+def _equivalence(name: str, stream: StreamMode, restriction: tuple[str, ...],
                  obstructions: tuple[str, ...], default_max_n: int
                  ) -> SweepSpec:
     """Membership ⟺ freeness from `obstructions` over the host class."""
@@ -425,7 +394,7 @@ def _equivalence(name: str, stream: str, restriction: tuple[str, ...],
               out: dict[str, list]) -> None:
         member = store.violators(g, code)[0] is None
         if member != patterns.is_free(g, obstructions):
-            out["counterexamples"].append(encode_graph6(g))
+            out["counterexamples"].append(code.decode("ascii"))
 
     return SweepSpec(name, stream, restriction, ClassKind.EXPONENTIAL.value,
                      default_max_n, check, ("counterexamples",),
@@ -437,29 +406,30 @@ def _conjecture3_check(g: Graph, code: bytes, store: ParamStore,
                        out: dict[str, list]) -> None:
     gamma, gamma_e, gamma_e_star = store.params_for_code(code, g)
     if not gamma_e_star <= gamma_e <= gamma:
-        out["chain_violations"].append(encode_graph6(g))
+        out["chain_violations"].append(code.decode("ascii"))
     viol_e, viol_p = store.violators(g, code)
     if (viol_e is None) != (viol_p is None):
-        out["divergences"].append(encode_graph6(g))
+        out["divergences"].append(code.decode("ascii"))
 
 
 #: Every sweep `verify` runs.  Each entry is the one place that states the
 #: sweep's host class, obstructions and default depth.
 SWEEPS: dict[str, SweepSpec] = {spec.name: spec for spec in (
     # membership ⟺ seven-pattern freeness over the restricted class
-    _equivalence("theorem1", "connected", RESTRICTION_NAMES,
+    _equivalence("theorem1", StreamMode.CONNECTED, RESTRICTION_NAMES,
                  OBSTRUCTION_NAMES, 9),
     # the same equivalence over the triangle-free restricted class
-    _equivalence("corollary1", "connected", TRIANGLE_RESTRICTION_NAMES,
-                 OBSTRUCTION_NAMES, 9),
+    _equivalence("corollary1", StreamMode.CONNECTED,
+                 TRIANGLE_RESTRICTION_NAMES, OBSTRUCTION_NAMES, 9),
     # tree membership ⟺ freeness from the two tree obstructions
-    _equivalence("corollary2", "trees", (), TREE_OBSTRUCTION_NAMES, 12),
+    _equivalence("corollary2", StreamMode.TREES, (), TREE_OBSTRUCTION_NAMES,
+                 12),
     # the two hereditary classes compared over all connected graphs.  A
     # divergence would be a publishable find, so it is reported in-band,
     # never raised; a violation of the parameter chain would be a solver
     # bug and lands in its own list.
-    SweepSpec("conjecture3", "connected", (), "both", 8, _conjecture3_check,
-              ("divergences", "chain_violations")),
+    SweepSpec("conjecture3", StreamMode.CONNECTED, (), "both", 8,
+              _conjecture3_check, ("divergences", "chain_violations")),
 )}
 
 DEFAULT_MAX_N = {name: spec.default_max_n for name, spec in SWEEPS.items()}
@@ -480,15 +450,15 @@ def minimal_spec(kind: ClassKind = ClassKind.EXPONENTIAL,
         if hit is not None and hit[0] == g.n:
             gamma, gamma_e, gamma_e_star = store.params_for_code(code, g)
             out["found"].append({
-                "graph6": encode_graph6(g),
+                "graph6": code.decode("ascii"),
                 "n": g.n,
                 "gamma": gamma,
                 "gamma_e": gamma_e,
                 "gamma_e_star": gamma_e_star,
             })
 
-    return SweepSpec("minimal_forbidden", "connected", tuple(restriction),
-                     kind.value, 7, check, ("found",),
+    return SweepSpec("minimal_forbidden", StreamMode.CONNECTED,
+                     tuple(restriction), kind.value, 7, check, ("found",),
                      config={"kind": kind.value})
 
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from expodom import enumeration
 from expodom.cache import CACHE_ENV_VAR, ResultsCache
 from expodom.cli import PARAMS_ORDER_CAP, main
 from expodom.domination import parameter_values
@@ -109,6 +110,33 @@ class TestParams:
         assert code == 3
         assert out == ""
         assert err == f"expodom: parse error: {path}:1: non-ASCII byte\n"
+
+    def test_self_loop_edge_line_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "loop.el"
+        path.write_text("0 1\n1 1\n")
+        code, out, err = run(capsys, "params", "--edge-list", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == f"expodom: parse error: {path}:2: self-loop at 1\n"
+
+    def test_negative_vertex_edge_line_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "negative.el"
+        path.write_text("0 1\n-1 2\n")
+        code, out, err = run(capsys, "params", "--edge-list", str(path))
+        assert code == 3
+        assert out == ""
+        assert err == (f"expodom: parse error: {path}:2: vertices must be "
+                       f"nonnegative\n")
+
+    def test_edge_beyond_order_override_exit_2(self, capsys, tmp_path):
+        # the line is well formed; it conflicts with the --n flag
+        path = tmp_path / "graph.el"
+        path.write_text("0 5\n")
+        code, out, err = run(capsys, "params", "--edge-list", str(path),
+                             "--n", "4")
+        assert code == 2
+        assert out == ""
+        assert "out of range" in err
 
 
 class TestMember:
@@ -276,6 +304,32 @@ class TestVerify:
         assert out == ""
         assert err == "expodom: order 65 exceeds the 64-vertex cap\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--sweep", "conjecture3", "--max-n", "11"),
+        ("minimal", "--max-n", "11"),
+    ])
+    def test_stream_cap_refused_before_any_level(self, capsys, monkeypatch,
+                                                 argv):
+        def no_level(*args):
+            raise AssertionError("a level was built")
+
+        monkeypatch.setattr(enumeration, "_level_pairs", no_level)
+        code, out, err = run(capsys, *argv)
+        assert code == 4
+        assert out == ""
+        assert err == "expodom: connected enumeration capped at order 10\n"
+
+    def test_graphs_file_has_no_stream_cap(self, capsys, tmp_path,
+                                           monkeypatch):
+        monkeypatch.setattr(enumeration, "_level_pairs", None)
+        path = tmp_path / "graphs.g6"
+        path.write_text("A_\nBw\n")  # P2 and K3
+        data = run_json(capsys, "verify", "--sweep", "conjecture3",
+                        "--max-n", "11", "--graphs", str(path))
+        assert data["max_n"] == 11
+        assert data["counts"] == {"1": 0, "2": 1, "3": 1, **{
+            str(n): 0 for n in range(4, 12)}}
+
     def test_cache_file_written(self, capsys, tmp_path):
         path = tmp_path / "cache.tsv"
         code, _, _ = run(capsys, "verify", "--sweep", "corollary2",
@@ -395,6 +449,21 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert f"argument --jobs: must be at least 1, got {jobs}" in err
+
+    @pytest.mark.parametrize("command", [
+        ("verify", "--sweep", "theorem1"),
+        ("verify", "--sweep", "theorem1", "--graphs", "GRAPHS"),
+        ("minimal", "--format", "csv"),
+    ], ids=["verify", "verify-graphs", "minimal"])
+    @pytest.mark.parametrize("max_n", ["0", "-3"])
+    def test_max_n_below_one_exit_2(self, capsys, tmp_path, command, max_n):
+        path = tmp_path / "graphs.g6"
+        path.write_text("A_\n")
+        argv = [str(path) if arg == "GRAPHS" else arg for arg in command]
+        code, out, err = run(capsys, *argv, "--max-n", max_n)
+        assert code == 2
+        assert out == ""
+        assert err == f"expodom: max_n must be at least 1, got {max_n}\n"
 
     def test_missing_edge_list_file_exit_3(self, capsys):
         code, _, _ = run(capsys, "params", "--edge-list", "/nonexistent/x")

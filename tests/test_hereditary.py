@@ -1,12 +1,21 @@
 import hashlib
 import itertools
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from expodom.cache import ResultsCache
 from expodom.domination import parameter_values
-from expodom.enumeration import connected_graphs, trees
+from expodom.enumeration import (
+    StreamMode,
+    connected_graphs,
+    levels,
+    levels_from_graphs,
+    trees,
+)
 from expodom.graphs import (
     SizeCapError,
     canonical_code,
@@ -26,13 +35,17 @@ from expodom.hereditary import (
     find_minimal_forbidden,
     in_class,
     is_minimal_forbidden,
-    levels_from_graphs,
     probe_conjecture3,
     verify_corollary1,
     verify_corollary2,
     verify_theorem1,
 )
-from expodom.patterns import OBSTRUCTION_NAMES, RESTRICTION_NAMES, pattern
+from expodom.patterns import (
+    OBSTRUCTION_NAMES,
+    RESTRICTION_NAMES,
+    TRIANGLE_RESTRICTION_NAMES,
+    pattern,
+)
 from conftest import cycle_graph, path_graph, random_connected_graph
 from oracles import min_violators_oracle
 
@@ -180,14 +193,15 @@ class TestConnectedCardRecursion:
         memo = {}
         return lambda g: min_violators_oracle(g, store.params_for_code, memo)
 
-    @pytest.mark.parametrize("stream, max_n", [
-        (connected_graphs, 7),
-        (lambda n: connected_graphs(n, RESTRICTION_NAMES), 8),
-        (trees, 11),
+    @pytest.mark.parametrize("mode, free_of, max_n", [
+        (StreamMode.CONNECTED, (), 7),
+        (StreamMode.CONNECTED, RESTRICTION_NAMES, 8),
+        (StreamMode.TREES, (), 11),
     ], ids=["connected7", "restricted8", "trees11"])
-    def test_every_class(self, store, reference, stream, max_n):
+    def test_every_class(self, store, reference, mode, free_of, max_n):
+        source = levels(mode, free_of, max_n)
         for n in range(1, max_n + 1):
-            for code, g in stream(n).pairs():
+            for code, g in source(n):
                 assert store.violators(g, code) == reference(g), \
                     encode_graph6(g)
 
@@ -358,6 +372,28 @@ class TestReports:
         assert serial.to_json(include_timing=False) == \
             parallel.to_json(include_timing=False)
 
+    def test_parallel_run_without_fork(self):
+        # where fork is not offered, workers start the platform's default way
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = "\n".join([
+            "import multiprocessing, sys",
+            f"sys.path.insert(0, {str(src)!r})",
+            "multiprocessing.get_all_start_methods = lambda: ['spawn']",
+            "asked = []",
+            "get_context = multiprocessing.get_context",
+            "multiprocessing.get_context = "
+            "lambda method=None: asked.append(method) or get_context(method)",
+            "from expodom.hereditary import ParamStore, verify_corollary2",
+            "serial = verify_corollary2(max_n=8, store=ParamStore())",
+            "parallel = verify_corollary2(max_n=8, jobs=2, store=ParamStore())",
+            "assert set(asked) == {'spawn'}, asked",
+            "assert serial.to_json(include_timing=False) == "
+            "parallel.to_json(include_timing=False)",
+        ])
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
     def test_config_hash_depends_on_inputs(self, store):
         a = verify_corollary2(max_n=7, store=store)
         b = verify_corollary2(max_n=8, store=store)
@@ -377,27 +413,31 @@ class TestReports:
 
 
 class TestExternalSource:
-    def test_levels_match_internal_enumeration(self, rng):
+    @pytest.mark.parametrize("mode, free_of", [
+        (StreamMode.TREES, ()),
+        (StreamMode.CONNECTED, RESTRICTION_NAMES),
+        (StreamMode.CONNECTED, TRIANGLE_RESTRICTION_NAMES),
+    ], ids=["trees", "restricted", "triangle_restricted"])
+    def test_levels_match_internal_enumeration(self, rng, mode, free_of):
+        # every connected graph, so the host-class filter has work to do
         graphs = []
         for n in range(1, 7):
-            for g in trees(n):
+            for g in connected_graphs(n):
                 order = list(range(g.n))
                 rng.shuffle(order)
                 graphs.append(relabel(g, order))
-        graphs.extend(graphs[:5])  # duplicates must collapse
+        graphs.extend(graphs[::7])  # duplicates must collapse
         graphs.append(from_edge_list(4, [(0, 1), (2, 3)]))  # dropped
-        source = levels_from_graphs(graphs, 6, trees_only=True)
+        rng.shuffle(graphs)
+        source = levels_from_graphs(graphs, 6, free_of, mode)
+        internal = levels(mode, free_of, 6)
         for n in range(1, 7):
-            want = sorted(canonical_code(g) for g in trees(n))
-            pairs = source(n)
-            assert [code for code, _ in pairs] == want
-            for code, g in pairs:
-                assert code == canonical_code(g)
+            assert source(n) == internal(n)
 
     def test_sweep_over_external_source(self, store, rng):
         graphs = [g for n in range(1, 8) for g in trees(n)]
         rng.shuffle(graphs)
-        source = levels_from_graphs(graphs, 7, trees_only=True)
+        source = levels_from_graphs(graphs, 7, mode=StreamMode.TREES)
         external = verify_corollary2(max_n=7, store=store, source=source)
         internal = verify_corollary2(max_n=7, store=store)
         assert external.to_json(include_timing=False) == \

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -19,19 +20,45 @@ def test_exports_and_readme_library_example():
     assert expodom.verify_corollary2(max_n=10).verified
 
 
+#: Traced counts of `verify --sweep theorem1 --max-n 6` in a fresh process.
+#: A change that moves one on purpose updates it and says why.
+TRACED_THEOREM1_6 = {
+    "graphs.canonical.calls": 335,
+    "enumeration.candidates": 134,
+    "patterns.match.calls": 398,
+    "domination.solve.calls": 46,
+    "hereditary.lookup.calls": 46,
+}
+
+
 def test_bench_tracer_installs():
     # bench/tracer.py and bench/child.py patch package attributes by name;
-    # a refactor that renames one fails here, not only in traced runs
+    # a refactor that renames or bypasses one fails here, not only in
+    # traced runs
     root = Path(__file__).resolve().parent.parent
     script = "\n".join([
-        "import sys",
+        "import contextlib, io, json, sys",
         f"sys.path[:0] = [{str(root / 'bench')!r}, {str(root / 'src')!r}]",
         "import tracer",
-        "tracer.install(tracer.Tracer())",
+        "t = tracer.Tracer()",
+        "tracer.install(t)",
         "from expodom import cli, hereditary",
         "assert callable(hereditary._obstruction_self_check)",
         "assert callable(cli.compute_all)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = cli.main(['verify', '--sweep', 'theorem1', '--max-n', '6'])",
+        "assert code == 0, code",
+        "counts = {k: v for k, (v, _) in tracer.summarize(t.spans).items()}",
+        "spans = [s[0] for s in t.spans]",
+        "counts['gate'] = spans.count('hereditary.gate')",
+        "counts['catalog'] = spans.count('patterns.catalog')",
+        "print(json.dumps(counts))",
     ])
     done = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    counts = json.loads(done.stdout)
+    for name, pinned in TRACED_THEOREM1_6.items():
+        assert counts[name] == pinned, name
+    assert counts["gate"] == 1
+    assert counts["catalog"] == 1
