@@ -11,6 +11,17 @@ The distance feeding the non-porous weight is constrained: it is the length
 of a shortest path from the set vertex v whose internal vertices all avoid
 the set.  Distinct set vertices therefore never see each other (distance
 INFINITY), and a set vertex sees itself at distance 0.
+
+gamma comes from a branch and bound over closed neighborhoods.  gamma_e and
+gamma_e_star share one search: for k = 0, 1, 2, ... a depth-first walk over
+the k-subsets in lexicographic order, cut by the porous bound.  The bound is
+sound for both parameters.  A constrained distance is never shorter than
+the plain one, so the weight is at most the porous weight at every vertex
+and every exponential dominating set is porous dominating.  The porous
+weight is additive over the set, so when the chosen prefix plus the best
+contributions the remaining picks could make still leaves some vertex below
+1, no completion of the prefix is accepted.  Every solver returns the
+lexicographically least optimal set as its certificate.
 """
 
 from __future__ import annotations
@@ -18,14 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable
 
 from .graphs import (
     Graph,
     INFINITY,
     bfs_levels,
-    bits_list,
     iter_bits,
     mask_from,
 )
@@ -232,32 +241,86 @@ def domination_number(g: Graph) -> ParamResult:
 
 
 # ----------------------------------------------------------------------
-# gamma_e and gamma_e_star: cardinality-ordered subset enumeration
+# gamma_e and gamma_e_star: one pruned walk over k-subsets
 # ----------------------------------------------------------------------
 #
 # Exponential domination is not monotone under adding vertices to the set,
-# so no superset pruning is sound; the search enumerates k-subsets for
-# k = 0, 1, 2, ... and stops at the first hit, which is guaranteed at latest
-# at k = gamma (a minimum dominating set puts weight >= 1 everywhere).  The
-# empty set is accepted only on the empty graph.
+# so no superset pruning is sound for it.  The porous weight bounds it
+# instead: a constrained distance is never shorter than the plain one, so
+# at every vertex the weight is at most the porous weight, and every
+# exponential dominating set is porous dominating.  The porous weight is
+# additive over the set.  So the search takes k = 0, 1, 2, ... and walks
+# the k-subsets depth first in lexicographic order, cutting a branch as
+# soon as some vertex u has
+#
+#     porous(prefix, u) + remaining * best[j][u] < 2^n,
+#
+# where `remaining` picks are left, all from the vertices >= j, and
+# best[j][u] is the largest numerator any of them puts on u: no completion
+# of the prefix reaches porous weight 1 at u, so neither solver accepts
+# one.  best[j] only falls as j grows, so the cut also ends the loop over
+# j.  A leaf left standing is porous dominating, which is all gamma_e_star
+# asks; gamma_e runs its full weight check there.  The walk visits sets in
+# `combinations` order, so the certificate is the lexicographically least
+# optimal set.  The search stops at latest at k = gamma (a minimum
+# dominating set puts weight >= 1 everywhere), and the empty set is
+# accepted only on the empty graph.
 
-def _smallest(g: Graph, cap: int, accept, kind: ParamKind) -> ParamResult:
+def _smallest(g: Graph, cap: int, kind: ParamKind) -> ParamResult:
     """Least k <= cap with an accepted k-subset, and the first such subset."""
+    n = g.n
+    one = 1 << n
+    # Porous numerators are packed one per vertex into a lane of an int, so
+    # adding a set vertex and testing all n bounds are a few int operations.
+    # A lane never holds more than n * 2^(n+1) (n vertices, 2^(n+1) at most
+    # each), which leaves its top bit clear; `covered` biases every lane so
+    # that its top bit is set exactly when the lane is >= 2^n.
+    lane = n + 2 + n.bit_length()
+
+    def pack(values) -> int:
+        return sum(x << (u * lane) for u, x in enumerate(values))
+
+    high = pack([1 << (lane - 1)] * n)
+    bias = high - pack([one] * n)
+
+    def covered(nums: int) -> bool:
+        return (nums + bias) & high == high
+
+    # rows[v][u]: the porous numerator that v alone puts on u
+    rows = [[1 << (n + 1 - d) if d >= 0 else 0 for d in bfs_levels(g, 1 << v)]
+            for v in range(n)]
+    reach = [pack(row) for row in rows]
+    # best[j], lane u: the largest rows[v][u] over v >= j
+    best = [0] * n
+    top = [0] * n
+    for j in range(n - 1, -1, -1):
+        top = list(map(max, top, rows[j]))
+        best[j] = pack(top)
+    exact = kind is ParamKind.EXPONENTIAL
+    chosen: list[int] = []
+
+    def walk(nums: int, start: int, remaining: int) -> bool:
+        if not remaining:
+            return covered(nums) and (
+                not exact or is_exponential_dominating(g, chosen))
+        for v in range(start, n - remaining + 1):
+            if not covered(nums + remaining * best[v]):
+                return False
+            chosen.append(v)
+            if walk(nums + reach[v], v + 1, remaining - 1):
+                return True
+            chosen.pop()
+        return False
+
     for k in range(cap + 1):
-        for comb in combinations(range(g.n), k):
-            if accept(mask_from(comb)):
-                return ParamResult(k, comb, kind)
+        if walk(0, 0, k):
+            return ParamResult(k, tuple(chosen), kind)
     raise AssertionError(f"unreachable: no {kind.value} set of size <= {cap}")
 
 
 def exponential_domination_number(g: Graph, gamma: int | None = None) -> ParamResult:
     cap = _gamma_value(g) if gamma is None else gamma
-    one = 1 << g.n
-
-    def accept(dmask: int) -> bool:
-        return all(num >= one for num in _weight_numerators(g, dmask))
-
-    return _smallest(g, cap, accept, ParamKind.EXPONENTIAL)
+    return _smallest(g, cap, ParamKind.EXPONENTIAL)
 
 
 def porous_exponential_domination_number(
@@ -266,24 +329,7 @@ def porous_exponential_domination_number(
     # gamma_e_star <= gamma_e <= gamma, and the search stops at its first
     # hit, so gamma is as good a cap as gamma_e and far cheaper to compute
     cap = _gamma_value(g) if gamma_e is None else gamma_e
-    n = g.n
-    one = 1 << n
-    # plain distances do not depend on the candidate set: one matrix reused
-    dist_rows = [bfs_levels(g, 1 << v) for v in range(n)]
-
-    def accept(dmask: int) -> bool:
-        members = bits_list(dmask)
-        for u in range(n):
-            total = 0
-            for v in members:
-                d = dist_rows[v][u]
-                if d >= 0:
-                    total += 1 << (n + 1 - d)
-            if total < one:
-                return False
-        return True
-
-    return _smallest(g, cap, accept, ParamKind.POROUS_EXPONENTIAL)
+    return _smallest(g, cap, ParamKind.POROUS_EXPONENTIAL)
 
 
 def compute_all(g: Graph) -> tuple[ParamResult, ParamResult, ParamResult]:

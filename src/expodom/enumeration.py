@@ -18,6 +18,7 @@ need checking.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cache
 from typing import Callable, Iterable, Iterator
 
 from .graphs import Graph, SizeCapError, canonical_code, decode_graph6, \
@@ -82,22 +83,28 @@ def levels_from_graphs(graphs: Iterable[Graph], max_n: int,
     Keeps the graphs of order 1..max_n in the host class (connected, a tree
     for TREES, free of `free_of`), canonicalizes and dedups them.  The
     source returns each level as (canonical code, representative) pairs
-    sorted by code.  No stream cap applies.
+    sorted by code.  No stream cap applies.  `graphs` is read on the
+    source's first call, so a sweep refuses a bad order before it reads.
     """
     names = tuple(free_of)
-    buckets: dict[int, dict[bytes, Graph]] = {}
-    for g in graphs:
-        if g.n < 1 or g.n > max_n or not is_connected(g):
-            continue
-        if mode is StreamMode.TREES and g.m != g.n - 1:
-            continue
-        if names and not patterns.is_free(g, names):
-            continue
-        code = canonical_code(g)
-        level = buckets.setdefault(g.n, {})
-        if code not in level:
-            level[code] = decode_graph6(code)
-    return lambda n: sorted(buckets.get(n, {}).items())
+
+    @cache
+    def buckets() -> dict[int, dict[bytes, Graph]]:
+        found: dict[int, dict[bytes, Graph]] = {}
+        for g in graphs:
+            if g.n < 1 or g.n > max_n or not is_connected(g):
+                continue
+            if mode is StreamMode.TREES and g.m != g.n - 1:
+                continue
+            if names and not patterns.is_free(g, names):
+                continue
+            code = canonical_code(g)
+            level = found.setdefault(g.n, {})
+            if code not in level:
+                level[code] = decode_graph6(code)
+        return found
+
+    return lambda n: sorted(buckets().get(n, {}).items())
 
 
 # ----------------------------------------------------------------------

@@ -104,6 +104,20 @@ def gamma_oracle(g: Graph) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("unreachable for n >= 1")
 
 
+def lex_first_oracle(g: Graph, accepts) -> tuple[int, tuple[int, ...]]:
+    """(least k, first accepted k-subset in `combinations` order).
+
+    The reference for every solver's value and certificate: all k-subsets
+    for k = 0, 1, ..., each tested by `accepts(g, subset)` alone, with no
+    pruning and no cap.
+    """
+    for k in range(g.n + 1):
+        for cand in combinations(range(g.n), k):
+            if accepts(g, cand):
+                return k, cand
+    raise AssertionError("the whole vertex set is always accepted")
+
+
 def gamma_e_oracle(g: Graph) -> int:
     for k in range(1, g.n + 1):
         for cand in combinations(range(g.n), k):

@@ -304,6 +304,20 @@ class TestVerify:
         assert out == ""
         assert err == "expodom: order 65 exceeds the 64-vertex cap\n"
 
+    @pytest.mark.parametrize("max_n, status, message", [
+        ("13", 4, "expodom: membership capped at order 12\n"),
+        ("0", 2, "expodom: max_n must be at least 1, got 0\n"),
+    ])
+    def test_graphs_file_order_refused_before_reading(self, capsys, tmp_path,
+                                                      max_n, status,
+                                                      message):
+        # line 2 is malformed: reading the file would exit 3
+        path = tmp_path / "graphs.g6"
+        path.write_text("A_\nnot graph6!\n")
+        code, out, err = run(capsys, "verify", "--sweep", "theorem1",
+                             "--max-n", max_n, "--graphs", str(path))
+        assert (code, out, err) == (status, "", message)
+
     @pytest.mark.parametrize("argv", [
         ("verify", "--sweep", "conjecture3", "--max-n", "11"),
         ("minimal", "--max-n", "11"),

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -19,7 +20,8 @@ from expodom.domination import (
     weight,
     weight_table,
 )
-from expodom.graphs import Graph, from_edge_list, relabel
+from expodom.enumeration import connected_graphs, trees
+from expodom.graphs import Graph, encode_graph6, from_edge_list, relabel
 from conftest import cycle_graph, path_graph, random_connected_graph, \
     random_graph
 
@@ -216,3 +218,62 @@ class TestSolvers:
             order = list(range(g.n))
             rng.shuffle(order)
             assert parameter_values(relabel(g, order)) == parameter_values(g)
+
+
+def _solved(results) -> list[tuple[int, tuple[int, ...]]]:
+    return [(r.value, r.certificate) for r in results]
+
+
+class TestLexWalk:
+    """The pruned walk against every k-subset in `combinations` order."""
+
+    PREDICATES = (is_dominating, is_exponential_dominating,
+                  is_porous_exponential_dominating)
+
+    def check(self, g: Graph) -> None:
+        reference = [oracles.lex_first_oracle(g, accepts)
+                     for accepts in self.PREDICATES]
+        assert _solved(compute_all(g)) == reference, encode_graph6(g)
+        assert _solved([porous_exponential_domination_number(g)]) == \
+            reference[2:], encode_graph6(g)
+
+    def check_relabeled(self, g: Graph, rng: random.Random) -> None:
+        # the cuts depend on the vertex order: the canonical one and another
+        self.check(g)
+        order = list(range(g.n))
+        rng.shuffle(order)
+        self.check(relabel(g, order))
+
+    def test_connected_graphs_to_order_7(self, rng):
+        for n in range(1, 8):
+            for g in connected_graphs(n):
+                self.check_relabeled(g, rng)
+
+    def test_trees_to_order_10(self, rng):
+        for n in range(1, 11):
+            for g in trees(n):
+                self.check_relabeled(g, rng)
+
+    def test_empty_graph(self):
+        empty = Graph(0, ())
+        assert _solved(compute_all(empty)) == [(0, ())] * 3
+        self.check(empty)
+
+    def test_triples_digest(self):
+        # compute_all over connected n <= 7 and trees n <= 11 in stream
+        # order, one line per graph: its code, then value:certificate per
+        # parameter.  Pinned from the combinations-loop solver
+        digest = hashlib.sha256()
+        count = 0
+        for family, top in ((connected_graphs, 7), (trees, 11)):
+            for n in range(1, top + 1):
+                for g in family(n):
+                    line = " ".join(
+                        [encode_graph6(g)]
+                        + [f"{value}:{','.join(map(str, cert))}"
+                           for value, cert in _solved(compute_all(g))])
+                    digest.update(line.encode() + b"\n")
+                    count += 1
+        assert count == 1432
+        assert digest.hexdigest() == (
+            "c97ce7610f8bde8fc3826fbe758f2afc87fb315d63d6327a0c6c95691a76ad24")
