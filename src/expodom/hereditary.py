@@ -6,14 +6,21 @@ has gamma_e_star(H) = gamma(H).  Component additivity of all three
 parameters means only connected induced subgraphs need checking, so a
 disconnected input is split into its components once, at the top.
 
-`ParamStore.violators` then recurses over connected graphs only: g is in
-the class iff equality holds for g and for every connected card g-v.  The
-cards with v a cut vertex are never needed: a connected proper induced
-subgraph H of g lies in some connected card, because contracting H in a
-spanning tree of g that extends one of H leaves a tree with a leaf w
-outside H, and g-w is connected and contains H.  The recursion memoizes,
-per canonical class, a minimum-order connected induced violator (or None):
-sweeps share work across the whole enumeration, and get witnesses free.
+A connected g is in the class iff equality holds for g and for every
+connected card g-v.  The cards with v a cut vertex are never needed: a
+connected proper induced subgraph H of g lies in some connected card,
+because contracting H in a spanning tree of g that extends one of H leaves
+a tree with a leaf w outside H, and g-w is connected and contains H.  The
+store memoizes, per canonical class, a minimum-order connected induced
+violator (or None), so witnesses come free.
+
+That memo is filled two ways.  A sweep over an enumerated stream gets each
+level's decks, the classes of every class's connected cards, from the
+enumeration, and `ParamStore.fill_violators` takes the minimum over the
+deck's memo entries level by level, labeling nothing.  Every other input
+(`member`, `in_class`, `is_minimal_forbidden`, the startup gate, `--graphs`
+sources) is not closed under vertex deletion, so `ParamStore.violators`
+recurses over its connected cards and labels each one.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import Callable, Iterable, Optional
 from . import __version__
 from .cache import ResultsCache
 from .domination import parameter_values
-from .enumeration import LevelSource, StreamMode, levels
+from .enumeration import Level, LevelSource, StreamMode, levels
 from .graphs import (
     Graph,
     SizeCapError,
@@ -123,9 +130,8 @@ def _config_hash(**config) -> str:
 class ParamStore:
     """Process memo of (gamma, gamma_e, gamma_e_star) per canonical code.
 
-    Optionally backed by an append-only results cache file; the memo of the
-    membership recursion lives here too so sweeps sharing a store share all
-    derived work.
+    Optionally backed by an append-only results cache file; the membership
+    memo lives here too so sweeps sharing a store share all derived work.
     """
 
     def __init__(self, results_cache: Optional[ResultsCache] = None):
@@ -164,23 +170,42 @@ class ParamStore:
         """((order, code) or None) per kind: minimum-order violators of g.
 
         g must be connected and nonempty.  `code`, when given, is its
-        canonical code, saving a labeling.
+        canonical code, saving a labeling.  A class not in the memo is
+        solved by recursing over g's connected cards, labeling each; a
+        sweep's classes are already there (`fill_violators`).
         """
         if code is None:
             code = canonical_code(g)
         got = self._violators.get(code)
         if got is not None:
             return got
-        gamma, *values = self.params_for_code(code, g)
         cards = (without_vertex(g, v) for v in range(g.n))
-        pairs = [self.violators(card) for card in cards
-                 if card.n and is_connected(card)]
+        result = self._least_with_self(
+            g, code, [self.violators(card) for card in cards
+                      if card.n and is_connected(card)])
+        self._violators[code] = result
+        return result
+
+    def fill_violators(self, level: Level) -> None:
+        """Memoize `violators` for every class of one enumerated level.
+
+        Each class's pair is the minimum over its deck's memo entries,
+        plus the class itself: no labeling, no recursion.  The level one
+        order down must have been filled first.
+        """
+        memo = self._violators
+        for (code, g), deck in zip(level, level.decks):
+            if code not in memo:
+                memo[code] = self._least_with_self(
+                    g, code, [memo[parent] for parent in deck])
+
+    def _least_with_self(self, g: Graph, code: bytes, pairs: list) -> tuple:
+        """The least of the cards' `pairs` and g itself, kind by kind."""
+        gamma, *values = self.params_for_code(code, g)
         # g itself, for each kind whose value differs from gamma
         pairs.append(tuple(None if value == gamma else (g.n, code)
                            for value in values))
-        result = tuple(map(_least, zip(*pairs)))
-        self._violators[code] = result
-        return result
+        return tuple(map(_least, zip(*pairs)))
 
     def close(self) -> None:
         """Close the results cache's append handle; the store stays usable."""
@@ -267,8 +292,8 @@ def _warm_params(store: ParamStore, codes: list[bytes], jobs: int) -> None:
     """Solve the batch's missing codes in `jobs` worker processes.
 
     Results merge in submission order, so worker count never changes any
-    report.  Serially there is nothing to warm: each check solves its graph
-    on first lookup, and the recursion stays in this process where the memo
+    report.  Serially there is nothing to warm: each class is solved on
+    its first lookup, and membership stays in this process where the memo
     lives.
     """
     if jobs < 2:
@@ -360,10 +385,15 @@ class SweepSpec:
         found: dict[str, list] = {name: [] for name in self.lists}
         for n in range(1, max_n + 1):
             # the source's canonical codes serve the warm-up, the store and
-            # the recursion, so no scanned graph is labeled again
-            level = list(source(n))
+            # the membership memo, so no scanned graph is labeled again
+            got = source(n)
+            level = list(got)
             counts[n] = len(level)
             _warm_params(store, [code for code, _ in level], jobs)
+            if isinstance(got, Level):
+                # an enumerated level has decks: every check then finds its
+                # violator pair in the memo and recurses over no card
+                store.fill_violators(got)
             for code, g in level:
                 self.check(g, code, store, found)
         extras = {key: list(value) for key, value in self.extras.items()}

@@ -3,15 +3,22 @@ import io
 import networkx as nx
 import pytest
 
-from expodom.enumeration import connected_graphs, read_graph6_stream, trees
+from expodom.enumeration import (
+    StreamMode,
+    connected_graphs,
+    levels,
+    read_graph6_stream,
+    trees,
+)
 from expodom.graphs import (
     Graph6Error,
     SizeCapError,
     canonical_code,
     encode_graph6,
     is_connected,
+    without_vertex,
 )
-from expodom.patterns import is_free
+from expodom.patterns import RESTRICTION_NAMES, is_free
 
 import oracles
 
@@ -149,6 +156,26 @@ class TestRestrictedStream:
         for n, count in want.items():
             assert sum(1 for _ in connected_graphs(
                 n, free_of=TRIANGLE_RESTRICTION_NAMES)) == count, n
+
+
+class TestDecks:
+    @pytest.mark.parametrize("mode, free_of, max_n", [
+        (StreamMode.CONNECTED, (), 6),
+        (StreamMode.CONNECTED, RESTRICTION_NAMES, 7),
+        (StreamMode.TREES, (), 9),
+    ], ids=["connected", "restricted", "trees"])
+    def test_deck_is_the_connected_cards(self, mode, free_of, max_n):
+        # each parent once, and exactly the classes of the connected cards
+        source = levels(mode, free_of, max_n)
+        for n in range(1, max_n + 1):
+            level = source(n)
+            assert len(level.decks) == len(level)
+            for (code, g), deck in zip(level, level.decks):
+                cards = {canonical_code(card) for card in
+                         (without_vertex(g, v) for v in range(n))
+                         if card.n and is_connected(card)}
+                assert len(deck) == len(set(deck))
+                assert set(deck) == cards, encode_graph6(g)
 
 
 class TestGraph6Stream:

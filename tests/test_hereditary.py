@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from expodom import hereditary
 from expodom.cache import ResultsCache
 from expodom.domination import parameter_values
 from expodom.enumeration import (
@@ -30,7 +31,9 @@ from expodom.hereditary import (
     ClassKind,
     DEFAULT_MAX_N,
     MEMBERSHIP_ORDER_CAP,
+    SWEEPS,
     ParamStore,
+    _obstruction_self_check,
     equality_holds,
     find_minimal_forbidden,
     in_class,
@@ -185,24 +188,46 @@ class TestMembership:
                                     ClassKind.EXPONENTIAL, store).member
 
 
+#: the three enumerated streams the sweeps run on, at the bench depths
+STREAMS = pytest.mark.parametrize("mode, free_of, max_n", [
+    (StreamMode.CONNECTED, (), 7),
+    (StreamMode.CONNECTED, RESTRICTION_NAMES, 8),
+    (StreamMode.TREES, (), 11),
+], ids=["connected7", "restricted8", "trees11"])
+
+
 class TestConnectedCardRecursion:
-    """The recursion over connected cards against the all-deletions one."""
+    """The recursion over connected cards, and the sweep's level pass over
+    the enumeration's decks, against the all-deletions recursion."""
 
     @pytest.fixture
     def reference(self, store):
         memo = {}
         return lambda g: min_violators_oracle(g, store.params_for_code, memo)
 
-    @pytest.mark.parametrize("mode, free_of, max_n", [
-        (StreamMode.CONNECTED, (), 7),
-        (StreamMode.CONNECTED, RESTRICTION_NAMES, 8),
-        (StreamMode.TREES, (), 11),
-    ], ids=["connected7", "restricted8", "trees11"])
+    @STREAMS
     def test_every_class(self, store, reference, mode, free_of, max_n):
         source = levels(mode, free_of, max_n)
         for n in range(1, max_n + 1):
             for code, g in source(n):
                 assert store.violators(g, code) == reference(g), \
+                    encode_graph6(g)
+
+    @STREAMS
+    def test_every_class_from_decks(self, reference, monkeypatch, mode,
+                                    free_of, max_n):
+        fresh = ParamStore()
+        source = levels(mode, free_of, max_n)
+        for n in range(1, max_n + 1):
+            fresh.fill_violators(source(n))
+
+        def no_cards(g, v):
+            raise AssertionError("a card was built: the level pass missed")
+
+        monkeypatch.setattr(hereditary, "without_vertex", no_cards)
+        for n in range(1, max_n + 1):
+            for code, g in source(n):
+                assert fresh.violators(g, code) == reference(g), \
                     encode_graph6(g)
 
     def test_random_labelings(self, reference, rng):
@@ -320,6 +345,19 @@ class TestSweeps:
         assert report.extras["chain_violations"] == []
         assert report.counts == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
 
+    def test_enumerated_sweep_labels_no_card(self, monkeypatch):
+        fresh = ParamStore()
+        _obstruction_self_check(fresh)  # the gate recurses, on purpose
+        calls = {}
+        for name in ("canonical_code", "without_vertex"):
+            def counted(*args, _name=name, _fn=getattr(hereditary, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+
+            monkeypatch.setattr(hereditary, name, counted)
+        assert verify_theorem1(max_n=8, store=fresh).verified
+        assert calls == {}
+
     def test_default_depths_are_sane(self):
         assert DEFAULT_MAX_N["corollary2"] > DEFAULT_MAX_N["theorem1"]
         assert all(n <= MEMBERSHIP_ORDER_CAP
@@ -434,12 +472,21 @@ class TestExternalSource:
         for n in range(1, 7):
             assert source(n) == internal(n)
 
-    def test_sweep_over_external_source(self, store, rng):
-        graphs = [g for n in range(1, 8) for g in trees(n)]
+    @pytest.mark.parametrize("name, max_n", [
+        ("corollary2", 7), ("theorem1", 7), ("conjecture3", 6),
+    ])
+    def test_sweep_over_external_source(self, rng, name, max_n):
+        # each run on its own store, so the external source's card
+        # recursion meets the enumeration's deck path report for report
+        spec = SWEEPS[name]
+        stream = trees if spec.stream is StreamMode.TREES else \
+            connected_graphs
+        graphs = [g for n in range(1, max_n + 1) for g in stream(n)]
         rng.shuffle(graphs)
-        source = levels_from_graphs(graphs, 7, mode=StreamMode.TREES)
-        external = verify_corollary2(max_n=7, store=store, source=source)
-        internal = verify_corollary2(max_n=7, store=store)
+        source = levels_from_graphs(graphs, max_n, spec.restriction,
+                                    spec.stream)
+        external = spec.run(max_n, store=ParamStore(), source=source)
+        internal = spec.run(max_n, store=ParamStore())
         assert external.to_json(include_timing=False) == \
             internal.to_json(include_timing=False)
 

@@ -23,7 +23,7 @@ def test_exports_and_readme_library_example():
 #: Traced counts of `verify --sweep theorem1 --max-n 6` in a fresh process.
 #: A change that moves one on purpose updates it and says why.
 TRACED_THEOREM1_6 = {
-    "graphs.canonical.calls": 335,
+    "graphs.canonical.calls": 243,
     "enumeration.candidates": 134,
     "patterns.match.calls": 398,
     "domination.solve.calls": 46,
