@@ -12,10 +12,13 @@ of a shortest path from the set vertex v whose internal vertices all avoid
 the set.  Distinct set vertices therefore never see each other (distance
 INFINITY), and a set vertex sees itself at distance 0.
 
-gamma comes from a branch and bound over closed neighborhoods.  gamma_e and
-gamma_e_star share one search: for k = 0, 1, 2, ... a depth-first walk over
-the k-subsets in lexicographic order, cut by the porous bound.  The bound is
-sound for both parameters.  A constrained distance is never shorter than
+Every parameter comes from the same search: for k = 0, 1, 2, ... a
+depth-first walk over the k-subsets in lexicographic order, stopped at the
+first accepted set.  gamma's walk is cut by closed neighborhoods: by the
+vertices still able to dominate each undominated vertex, and by how many
+undominated vertices the remaining picks can cover.  gamma_e and
+gamma_e_star share one walk, cut by the porous bound.  The bound is sound
+for both parameters.  A constrained distance is never shorter than
 the plain one, so the weight is at most the porous weight at every vertex
 and every exponential dominating set is porous dominating.  The porous
 weight is additive over the set, so when the chosen prefix plus the best
@@ -60,6 +63,11 @@ def _as_mask(g: Graph, s: int | Iterable[int]) -> int:
     return mask
 
 
+def _check_vertex(g: Graph, u: int) -> None:
+    if not 0 <= u < g.n:
+        raise ValueError(f"vertex {u} outside the graph")
+
+
 # ----------------------------------------------------------------------
 # Distances seen from a set
 # ----------------------------------------------------------------------
@@ -71,6 +79,8 @@ def constrained_distance(g: Graph, d: int | Iterable[int], u: int, v: int):
     different set vertex or when every path is blocked.
     """
     dmask = _as_mask(g, d)
+    _check_vertex(g, u)
+    _check_vertex(g, v)
     if not (dmask >> v) & 1:
         raise ValueError(f"vertex {v} is not in the set")
     levels = _punctured_levels(g, dmask, v)
@@ -125,11 +135,13 @@ def porous_weight_table(g: Graph, d: int | Iterable[int]) -> list[Fraction]:
 
 def weight(g: Graph, d: int | Iterable[int], u: int) -> Fraction:
     """Exponential-domination weight that the set d exerts on u."""
+    _check_vertex(g, u)
     return weight_table(g, d)[u]
 
 
 def porous_weight(g: Graph, d: int | Iterable[int], u: int) -> Fraction:
     """Porous variant: distances ignore blocking by other set vertices."""
+    _check_vertex(g, u)
     return porous_weight_table(g, d)[u]
 
 
@@ -158,116 +170,73 @@ def is_porous_exponential_dominating(g: Graph, d: int | Iterable[int]) -> bool:
 
 
 # ----------------------------------------------------------------------
-# gamma: branch and bound
+# All three parameters: one lexicographic walk over k-subsets
 # ----------------------------------------------------------------------
-
-def _min_dominating_size(g: Graph, forced: int, available: int, cap: int):
-    """Smallest dominating set size with forced <= D <= forced|available.
-
-    Returns the exact minimum if it is <= cap, else None.  Branches on the
-    least undominated vertex over its closed neighborhood; prunes with the
-    coverage bound ceil(undominated / max coverage).
-    """
-    n = g.n
-    full = g.vertex_mask
-    closed = [g.closed_neighborhood(v) for v in range(n)]
-    dominated = 0
-    for v in iter_bits(forced):
-        dominated |= closed[v]
-    base = forced.bit_count()
-    best = cap + 1
-
-    def search(dominated: int, size: int) -> None:
-        nonlocal best
-        if dominated == full:
-            if size < best:
-                best = size
-            return
-        if size + 1 >= best:
-            return
-        undom = full & ~dominated
-        maxcover = 0
-        for v in iter_bits(available):
-            c = (closed[v] & undom).bit_count()
-            if c > maxcover:
-                maxcover = c
-        if maxcover == 0:
-            return  # some vertex can never be dominated on this branch
-        if size + (undom.bit_count() + maxcover - 1) // maxcover >= best:
-            return
-        u = (undom & -undom).bit_length() - 1
-        for v in iter_bits(closed[u] & available):
-            search(dominated | closed[v], size + 1)
-
-    search(dominated, base)
-    return best if best <= cap else None
-
-
-def _lex_min_dominating(g: Graph, k: int) -> tuple[int, ...]:
-    """Lexicographically least (as a sorted tuple) dominating set of size k."""
-    n = g.n
-    full = g.vertex_mask
-    chosen_mask = 0
-    chosen: list[int] = []
-    start = 0
-    while len(chosen) < k:
-        for v in range(start, n):
-            vb = 1 << v
-            avail = full >> (v + 1) << (v + 1)  # strictly larger vertices
-            if (chosen_mask | vb | avail).bit_count() < k:
-                continue  # not enough room to reach size k
-            found = _min_dominating_size(g, chosen_mask | vb, avail, k)
-            if found is not None:
-                chosen.append(v)
-                chosen_mask |= vb
-                start = v + 1
-                break
-        else:  # pragma: no cover - k is known feasible
-            raise AssertionError("no dominating set of the optimal size")
-    return tuple(chosen)
-
-
-def _gamma_value(g: Graph) -> int:
-    if g.n == 0:
-        return 0
-    value = _min_dominating_size(g, 0, g.vertex_mask, g.n)
-    assert value is not None  # the whole vertex set always dominates
-    return value
-
-
-def domination_number(g: Graph) -> ParamResult:
-    value = _gamma_value(g)
-    return ParamResult(value, _lex_min_dominating(g, value), ParamKind.DOMINATION)
-
-
-# ----------------------------------------------------------------------
-# gamma_e and gamma_e_star: one pruned walk over k-subsets
-# ----------------------------------------------------------------------
+#
+# Each parameter is the least k with an accepted k-subset, and its
+# certificate is the first such subset in `combinations` order.  The search
+# takes k = 0, 1, 2, ... and walks the k-subsets depth first in that order,
+# so the first accepted set is the lexicographically least optimal one.
+# The whole vertex set is accepted by all three, so the search ends by
+# k = n, and the empty set is accepted only on the empty graph.  Each walk
+# picks from the vertices >= j with `remaining` picks left, and cuts a
+# branch once no completion of its prefix can be accepted.  The cut on j
+# only grows as j grows, so it also ends the loop over j.
+#
+# gamma's walk carries the undominated set U as a bitmask.  It cuts a
+# branch when some vertex of U has no closed neighbour >= j, or when the
+# `remaining` largest of |N[w] & U| over the vertices w it may still pick
+# sum to less than |U|: each pick dominates at most its own count of U.
 #
 # Exponential domination is not monotone under adding vertices to the set,
 # so no superset pruning is sound for it.  The porous weight bounds it
 # instead: a constrained distance is never shorter than the plain one, so
 # at every vertex the weight is at most the porous weight, and every
 # exponential dominating set is porous dominating.  The porous weight is
-# additive over the set.  So the search takes k = 0, 1, 2, ... and walks
-# the k-subsets depth first in lexicographic order, cutting a branch as
-# soon as some vertex u has
+# additive over the set.  So the walk for gamma_e and gamma_e_star cuts a
+# branch as soon as some vertex u has
 #
 #     porous(prefix, u) + remaining * best[j][u] < 2^n,
 #
-# where `remaining` picks are left, all from the vertices >= j, and
-# best[j][u] is the largest numerator any of them puts on u: no completion
-# of the prefix reaches porous weight 1 at u, so neither solver accepts
-# one.  best[j] only falls as j grows, so the cut also ends the loop over
-# j.  A leaf left standing is porous dominating, which is all gamma_e_star
-# asks; gamma_e runs its full weight check there.  The walk visits sets in
-# `combinations` order, so the certificate is the lexicographically least
-# optimal set.  The search stops at latest at k = gamma (a minimum
-# dominating set puts weight >= 1 everywhere), and the empty set is
-# accepted only on the empty graph.
+# where best[j][u] is the largest numerator any vertex >= j puts on u.  A
+# leaf left standing is porous dominating, which is all gamma_e_star asks;
+# gamma_e runs its full weight check there.
 
-def _smallest(g: Graph, cap: int, kind: ParamKind) -> ParamResult:
-    """Least k <= cap with an accepted k-subset, and the first such subset."""
+def _dominating_walk(g: Graph, chosen: list[int]):
+    n = g.n
+    closed = [g.closed_neighborhood(v) for v in range(n)]
+    # reach[j]: every vertex that some pick from the vertices >= j dominates
+    reach = [0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        reach[j] = reach[j + 1] | closed[j]
+
+    def walk(undom: int, start: int, remaining: int) -> bool:
+        if not remaining:
+            return not undom
+        if undom & ~reach[start]:
+            return False
+        if remaining == 1:  # the last pick dominates all that is left
+            for v in range(start, n):
+                if not undom & ~closed[v]:
+                    chosen.append(v)
+                    return True
+            return False
+        covers = sorted(map(int.bit_count, map(undom.__and__, closed[start:])))
+        if sum(covers[-remaining:]) < undom.bit_count():
+            return False
+        for v in range(start, n - remaining + 1):
+            if undom & ~reach[v]:
+                return False
+            chosen.append(v)
+            if walk(undom & ~closed[v], v + 1, remaining - 1):
+                return True
+            chosen.pop()
+        return False
+
+    return lambda k: walk(g.vertex_mask, 0, k)
+
+
+def _porous_walk(g: Graph, exact: bool, chosen: list[int]):
     n = g.n
     one = 1 << n
     # Porous numerators are packed one per vertex into a lane of an int, so
@@ -296,8 +265,6 @@ def _smallest(g: Graph, cap: int, kind: ParamKind) -> ParamResult:
     for j in range(n - 1, -1, -1):
         top = list(map(max, top, rows[j]))
         best[j] = pack(top)
-    exact = kind is ParamKind.EXPONENTIAL
-    chosen: list[int] = []
 
     def walk(nums: int, start: int, remaining: int) -> bool:
         if not remaining:
@@ -312,37 +279,45 @@ def _smallest(g: Graph, cap: int, kind: ParamKind) -> ParamResult:
             chosen.pop()
         return False
 
-    for k in range(cap + 1):
-        if walk(0, 0, k):
-            return ParamResult(k, tuple(chosen), kind)
-    raise AssertionError(f"unreachable: no {kind.value} set of size <= {cap}")
+    return lambda k: walk(0, 0, k)
 
 
-def exponential_domination_number(g: Graph, gamma: int | None = None) -> ParamResult:
-    cap = _gamma_value(g) if gamma is None else gamma
-    return _smallest(g, cap, ParamKind.EXPONENTIAL)
+def _smallest(g: Graph, kind: ParamKind) -> ParamResult:
+    """Least k with an accepted k-subset, and the first such subset."""
+    chosen: list[int] = []
+    if kind is ParamKind.DOMINATION:
+        walk = _dominating_walk(g, chosen)
+    else:
+        walk = _porous_walk(g, kind is ParamKind.EXPONENTIAL, chosen)
+    k = 0
+    while not walk(k):  # accepted by k = n: the whole vertex set
+        k += 1
+    return ParamResult(k, tuple(chosen), kind)
 
 
-def porous_exponential_domination_number(
-    g: Graph, gamma_e: int | None = None
-) -> ParamResult:
-    # gamma_e_star <= gamma_e <= gamma, and the search stops at its first
-    # hit, so gamma is as good a cap as gamma_e and far cheaper to compute
-    cap = _gamma_value(g) if gamma_e is None else gamma_e
-    return _smallest(g, cap, ParamKind.POROUS_EXPONENTIAL)
+def _gamma_value(g: Graph) -> int:
+    return _smallest(g, ParamKind.DOMINATION).value
+
+
+def domination_number(g: Graph) -> ParamResult:
+    return _smallest(g, ParamKind.DOMINATION)
+
+
+def exponential_domination_number(g: Graph) -> ParamResult:
+    return _smallest(g, ParamKind.EXPONENTIAL)
+
+
+def porous_exponential_domination_number(g: Graph) -> ParamResult:
+    return _smallest(g, ParamKind.POROUS_EXPONENTIAL)
 
 
 def compute_all(g: Graph) -> tuple[ParamResult, ParamResult, ParamResult]:
-    """All three parameters with certificates, sharing upper bounds."""
-    gamma = domination_number(g)
-    gamma_e = exponential_domination_number(g, gamma.value)
-    gamma_e_star = porous_exponential_domination_number(g, gamma_e.value)
-    return gamma, gamma_e, gamma_e_star
+    """All three parameters, each with its certificate."""
+    return (domination_number(g), exponential_domination_number(g),
+            porous_exponential_domination_number(g))
 
 
 def parameter_values(g: Graph) -> tuple[int, int, int]:
-    """Values only; skips the lexicographic pass for gamma's certificate."""
-    gamma = _gamma_value(g)
-    gamma_e = exponential_domination_number(g, gamma).value
-    gamma_e_star = porous_exponential_domination_number(g, gamma_e).value
-    return gamma, gamma_e, gamma_e_star
+    """The three values; the same walks as `compute_all`."""
+    return (_gamma_value(g), exponential_domination_number(g).value,
+            porous_exponential_domination_number(g).value)

@@ -138,7 +138,7 @@ def verify_catalog() -> None:
     for name in OBSTRUCTION_NAMES:
         g = pattern(name).graph
         gamma = domination._gamma_value(g)
-        gamma_e = domination.exponential_domination_number(g, gamma).value
+        gamma_e = domination.exponential_domination_number(g).value
         if (gamma, gamma_e) != (3, 2):
             raise GateError(
                 f"obstruction {name}: expected parameters (3, 2), "

@@ -109,6 +109,16 @@ class TestWeights:
             for u in range(g.n):
                 assert ws[u] >= w[u]
 
+    @pytest.mark.parametrize("u", [-1, 4])
+    @pytest.mark.parametrize("query", [
+        weight, porous_weight,
+        lambda g, d, u: constrained_distance(g, d, u, 0),
+    ], ids=["weight", "porous_weight", "constrained_distance"])
+    def test_rejects_vertex_outside_graph(self, query, u):
+        # negative indices must not wrap round to the last vertices
+        with pytest.raises(ValueError, match=f"vertex {u} outside"):
+            query(path_graph(4), {0}, u)
+
 
 class TestNonMonotonicity:
     def test_star_witness(self):
@@ -234,8 +244,9 @@ class TestLexWalk:
         reference = [oracles.lex_first_oracle(g, accepts)
                      for accepts in self.PREDICATES]
         assert _solved(compute_all(g)) == reference, encode_graph6(g)
-        assert _solved([porous_exponential_domination_number(g)]) == \
-            reference[2:], encode_graph6(g)
+        uncapped = [domination_number(g), exponential_domination_number(g),
+                    porous_exponential_domination_number(g)]
+        assert _solved(uncapped) == reference, encode_graph6(g)
 
     def check_relabeled(self, g: Graph, rng: random.Random) -> None:
         # the cuts depend on the vertex order: the canonical one and another
@@ -277,3 +288,31 @@ class TestLexWalk:
         assert count == 1432
         assert digest.hexdigest() == (
             "c97ce7610f8bde8fc3826fbe758f2afc87fb315d63d6327a0c6c95691a76ad24")
+
+    @pytest.mark.parametrize("graphs, count, expected", [
+        (lambda: connected_graphs(8), 11117,
+         "7c4b5551e7be6a51f49d22a0248e3667d1f0c6699ed7d1373c156265764ce392"),
+        (lambda: _random_order_20(random.Random(20)), 200,
+         "4527c4114ce9cdf3a1d5744dba3af8b0fafb50e919f401eee21021a4b5b70924"),
+    ], ids=["connected8", "gnp20"])
+    def test_gamma_digest(self, graphs, count, expected):
+        # domination_number over graphs beyond the subset oracles' reach,
+        # one line per graph: its code, then value:certificate.  Pinned
+        # from the branch and bound that preceded the walk
+        digest = hashlib.sha256()
+        seen = 0
+        for g in graphs():
+            res = domination_number(g)
+            line = (f"{encode_graph6(g)} {res.value}:"
+                    f"{','.join(map(str, res.certificate))}")
+            digest.update(line.encode() + b"\n")
+            seen += 1
+        assert seen == count
+        assert digest.hexdigest() == expected
+
+
+def _random_order_20(rng: random.Random):
+    # G(20, p), 50 graphs per p, in their generated labeling
+    for p in (0.1, 0.15, 0.25, 0.4):
+        for _ in range(50):
+            yield random_graph(rng, 20, p)
