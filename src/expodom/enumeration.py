@@ -17,9 +17,11 @@ reads its membership off the decks instead of labeling every card again
 (`hereditary.ParamStore.fill_violators`).  Decks live as long as their
 level does: for the whole process, in `_LEVELS`.
 
-Pattern restrictions are hereditary, so a restricted level can be grown
-from the restricted level below it; only embeddings through the new vertex
-need checking.
+Pattern restrictions are hereditary, so a restricted level is grown from
+the restricted level below it, and a child can only hold a pattern through
+its new vertex.  Each parent's `patterns.extension_table` settles all of
+its neighbourhood masks in one pass; only the unblocked ones are augmented
+and labeled.
 """
 
 from __future__ import annotations
@@ -109,6 +111,7 @@ def levels_from_graphs(graphs: Iterable[Graph], max_n: int,
     source's first call, so a sweep refuses a bad order before it reads.
     """
     names = tuple(free_of)
+    patterns._named(frozenset(names))  # raises on an unknown name
 
     @cache
     def buckets() -> dict[int, dict[bytes, Graph]]:
@@ -158,15 +161,15 @@ def _level_pairs(mode: StreamMode, free_of: frozenset[str],
     decks: dict[bytes, list[bytes]] = {}
     for pcode, parent in _level_pairs(mode, free_of, n - 1):
         k = parent.n
+        blocked = patterns.extension_table(parent, free_of)
         if mode is StreamMode.TREES:
             masks: Iterable[int] = (1 << u for u in range(k))
         else:
             masks = range(1, 1 << k)
         for mask in masks:
-            child = _augment(parent, mask)
-            if free_of and not patterns.is_free_with_new_vertex(child, free_of, k):
+            if blocked[mask]:
                 continue
-            code = canonical_code(child)
+            code = canonical_code(_augment(parent, mask))
             deck = decks.get(code)
             if deck is None:
                 decks[code] = [pcode]

@@ -13,6 +13,17 @@ of its earlier neighbours and to none of the images of its earlier
 non-neighbours.  What a step needs from the pattern (its degree, earlier
 neighbours and non-neighbours) is a search plan, built once per catalog
 pattern on first use; a bare `Graph` pattern gets a plan per call.
+
+Embeddings through one vertex are found without that vertex.  A graph
+contains a pattern H through its vertex v exactly when, for some vertex q
+of H, the graph minus v has an induced embedding of H-q whose image S
+meets v's neighbourhood in T, the image of q's neighbours.  Each catalog
+pattern keeps one form per q (the plan of H-q and the steps adjacent to
+q), and `_meetings` collects the (S, T) pairs of every embedding of every
+form.  `is_free_with_new_vertex` tests v's row against them, and
+`extension_table` marks, for a pattern-free parent, every neighbourhood
+of a new vertex that would complete a pattern, so an enumeration settles
+all of a parent's children in one pass.
 """
 
 from __future__ import annotations
@@ -21,7 +32,8 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Optional
 
-from .graphs import Graph, from_edge_list, girth, INFINITY
+from .graphs import Graph, from_edge_list, girth, without_vertex, \
+    INFINITY
 from . import domination
 
 #: A found embedding: position i holds the host vertex that pattern vertex i
@@ -45,8 +57,8 @@ class Pattern:
         return _match_plan(self.graph)
 
     @cached_property
-    def _through_plans(self) -> "tuple[_Plan, ...]":
-        return _anchored_plans(self.graph)
+    def _forms(self) -> "tuple[_Form, ...]":
+        return _vertex_forms(self.graph)
 
 
 _EDGE_LISTS: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
@@ -156,13 +168,10 @@ _Step = tuple[int, int, tuple[int, ...], tuple[int, ...]]
 _Plan = tuple[_Step, ...]
 
 
-def _match_order(pg: Graph) -> list[int]:
+def _match_plan(pg: Graph) -> _Plan:
     # highest degree first fails fastest; ties broken by index for
     # deterministic output
-    return sorted(range(pg.n), key=lambda v: (-pg.degree(v), v))
-
-
-def _search_plan(pg: Graph, order: list[int]) -> _Plan:
+    order = sorted(range(pg.n), key=lambda v: (-pg.degree(v), v))
     steps = []
     for i, q in enumerate(order):
         row = pg.adj[q]
@@ -172,15 +181,23 @@ def _search_plan(pg: Graph, order: list[int]) -> _Plan:
     return tuple(steps)
 
 
-def _match_plan(pg: Graph) -> _Plan:
-    return _search_plan(pg, _match_order(pg))
+#: A pattern H seen from one of its vertices q: the plan of H-q, and the
+#: mask of the plan steps whose pattern vertices are q's neighbours.
+_Form = tuple[_Plan, int]
 
 
-def _anchored_plans(pg: Graph) -> tuple[_Plan, ...]:
-    """One plan per pattern vertex pinned first, in match order."""
-    order = _match_order(pg)
-    return tuple(_search_plan(pg, [q] + [r for r in order if r != q])
-                 for q in order)
+def _vertex_forms(pg: Graph) -> tuple[_Form, ...]:
+    """One form per pattern vertex q."""
+    forms = []
+    for q in range(pg.n):
+        plan = _match_plan(without_vertex(pg, q))
+        # without_vertex renumbers the vertices after q down by one
+        near = 0
+        for i, (r, _, _, _) in enumerate(plan):
+            if (pg.adj[q] >> (r + (r >= q))) & 1:
+                near |= 1 << i
+        forms.append((plan, near))
+    return tuple(forms)
 
 
 def _degree_masks(host: Graph) -> list[int]:
@@ -233,23 +250,6 @@ def _first(host: Graph, at_least: list[int], plan: _Plan
     return None
 
 
-def _first_through(host: Graph, at_least: list[int],
-                   plans: tuple[_Plan, ...], anchor: int
-                   ) -> Optional[Embedding]:
-    k = len(plans)
-    if k == 0 or k > host.n:
-        return None
-    hdeg_anchor = host.adj[anchor].bit_count()
-    image = [-1] * k
-    image[0] = anchor
-    for plan in plans:
-        if plan[0][1] > hdeg_anchor:
-            continue
-        if _extend(plan, host.adj, at_least, image, 1, 1 << anchor):
-            return _embedding(plan, image)
-    return None
-
-
 def find_induced(host: Graph, p: Pattern | Graph) -> Optional[Embedding]:
     """First induced embedding of the pattern in the host, or None.
 
@@ -258,19 +258,6 @@ def find_induced(host: Graph, p: Pattern | Graph) -> Optional[Embedding]:
     """
     plan = p._plan if isinstance(p, Pattern) else _match_plan(p)
     return _first(host, _degree_masks(host), plan)
-
-
-def _find_induced_through(host: Graph, p: Pattern | Graph,
-                          anchor: int) -> Optional[Embedding]:
-    """Like find_induced, but the image must contain host vertex `anchor`.
-
-    Tries every pattern vertex as the one pinned to the anchor; used by
-    hereditary-pruned enumeration, where the host minus `anchor` is already
-    known pattern-free, so any embedding must pass through it.
-    """
-    plans = (p._through_plans if isinstance(p, Pattern)
-             else _anchored_plans(p))
-    return _first_through(host, _degree_masks(host), plans, anchor)
 
 
 @cache
@@ -282,18 +269,13 @@ def _named(names: frozenset[str]) -> tuple[Pattern, ...]:
     return tuple(p for p in catalog() if p.name in names)
 
 
-def find_any_pattern(host: Graph, names: Iterable[str],
-                     required_vertex: Optional[int] = None
+def find_any_pattern(host: Graph, names: Iterable[str]
                      ) -> Optional[tuple[str, Embedding]]:
     """First (catalog order) pattern from `names` embedded in the host."""
     wanted = _named(frozenset(names))
     at_least = _degree_masks(host)
     for p in wanted:
-        if required_vertex is None:
-            emb = _first(host, at_least, p._plan)
-        else:
-            emb = _first_through(host, at_least, p._through_plans,
-                                 required_vertex)
+        emb = _first(host, at_least, p._plan)
         if emb is not None:
             return (p.name, emb)
     return None
@@ -304,6 +286,75 @@ def is_free(host: Graph, names: Iterable[str]) -> bool:
     return find_any_pattern(host, names) is None
 
 
+# ----------------------------------------------------------------------
+# Embeddings through one vertex
+# ----------------------------------------------------------------------
+
+def _extend_all(plan: _Plan, near: int, adj: tuple[int, ...],
+                at_least: list[int], image: list[int], idx: int, used: int,
+                touched: int, out: set[tuple[int, int]]) -> None:
+    """Like `_extend`, but adds (used, touched) to `out` for every
+    completion: the image's vertices and those of its near steps."""
+    if idx == len(plan):
+        out.add((used, touched))
+        return
+    _, deg, adjacent, apart = plan[idx]
+    cand = at_least[deg] & ~used
+    for j in adjacent:
+        cand &= adj[image[j]]
+    for j in apart:
+        cand &= ~adj[image[j]]
+    is_near = (near >> idx) & 1
+    while cand:
+        b = cand & -cand
+        image[idx] = b.bit_length() - 1
+        _extend_all(plan, near, adj, at_least, image, idx + 1, used | b,
+                    touched | b if is_near else touched, out)
+        cand ^= b
+
+
+def _meetings(host: Graph, names: Iterable[str],
+              skip: int = 0) -> set[tuple[int, int]]:
+    """The (S, T) pairs of the named patterns' forms in the host.
+
+    For every named pattern H, vertex q of H and induced embedding of H-q
+    in the host that avoids the vertices in `skip`: S is the image and T
+    the image of q's neighbours.
+    """
+    at_least = [m & ~skip for m in _degree_masks(host)]
+    out: set[tuple[int, int]] = set()
+    for p in _named(frozenset(names)):
+        for plan, near in p._forms:
+            if len(plan) <= host.n:  # else a degree would overrun at_least
+                _extend_all(plan, near, host.adj, at_least,
+                            [-1] * len(plan), 0, 0, 0, out)
+    return out
+
+
 def is_free_with_new_vertex(host: Graph, names: Iterable[str], v: int) -> bool:
-    """Freeness check restricted to embeddings through host vertex v."""
-    return find_any_pattern(host, names, required_vertex=v) is None
+    """True iff no named pattern has an induced embedding through vertex v."""
+    if not 0 <= v < host.n:
+        raise ValueError("vertex v outside the graph")
+    row = host.adj[v]
+    return all(row & s != t for s, t in _meetings(host, names, 1 << v))
+
+
+def extension_table(parent: Graph, names: Iterable[str]) -> bytearray:
+    """Entry `mask` is 1 iff the parent plus one new vertex adjacent to the
+    masked vertices contains a named pattern.
+
+    The parent must be free of the named patterns.  Then every pattern in
+    a child passes through the new vertex, and the child holds one exactly
+    when `mask & S == T` for one of the parent's (S, T) pairs.
+    """
+    full = (1 << parent.n) - 1
+    table = bytearray(full + 1)
+    for s, t in _meetings(parent, names):
+        free = full & ~s
+        sub = free
+        while True:
+            table[t | sub] = 1
+            if not sub:
+                break
+            sub = (sub - 1) & free
+    return table

@@ -137,12 +137,15 @@ def gamma_e_star_oracle(g: Graph) -> int:
     raise AssertionError("unreachable for n >= 1")
 
 
-def find_induced_oracle(g: Graph, p: Graph):
-    """First injection (in index order) embedding p induced into g."""
+def find_induced_oracle(g: Graph, p: Graph, through: int | None = None):
+    """First injection (in index order) embedding p induced into g; with
+    `through`, the first whose image holds that vertex of g."""
     if p.n > g.n:
         return None
     p_edges = {(a, b) for a, b in p.edges()}
     for cand in permutations(range(g.n), p.n):
+        if through is not None and through not in cand:
+            continue
         ok = True
         for a in range(p.n):
             for b in range(a + 1, p.n):

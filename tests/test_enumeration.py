@@ -1,3 +1,4 @@
+import hashlib
 import io
 
 import networkx as nx
@@ -7,6 +8,7 @@ from expodom.enumeration import (
     StreamMode,
     connected_graphs,
     levels,
+    levels_from_graphs,
     read_graph6_stream,
     trees,
 )
@@ -18,7 +20,12 @@ from expodom.graphs import (
     is_connected,
     without_vertex,
 )
-from expodom.patterns import RESTRICTION_NAMES, is_free
+from expodom.patterns import (
+    OBSTRUCTION_NAMES,
+    RESTRICTION_NAMES,
+    TRIANGLE_RESTRICTION_NAMES,
+    is_free,
+)
 
 import oracles
 
@@ -156,6 +163,35 @@ class TestRestrictedStream:
         for n, count in want.items():
             assert sum(1 for _ in connected_graphs(
                 n, free_of=TRIANGLE_RESTRICTION_NAMES)) == count, n
+
+    @pytest.mark.parametrize("free_of, max_n, count, want", [
+        (RESTRICTION_NAMES, 8, 281,
+         "94e9da5a69b4e31c90f382a71b886318a3b3cc8c71ea5d0c753a6a57f7e2ca19"),
+        (TRIANGLE_RESTRICTION_NAMES, 8, 173,
+         "5d3ba2f7fff04db1fa1b35f0503c4d1b27d657a9ea52bbca370bed9f6a098776"),
+        (OBSTRUCTION_NAMES, 7, 951,
+         "6c6ee0af3d88d001fb130e1b66ab2f7ae58a3fcb769531d82172da0595db647a"),
+    ], ids=["restriction", "triangle", "obstruction"])
+    def test_levels_pinned(self, free_of, max_n, count, want):
+        # SHA-256 over code + deck per class in level order, pinned from
+        # the enumeration that matched every candidate child on its own
+        digest = hashlib.sha256()
+        classes = 0
+        source = levels(StreamMode.CONNECTED, free_of, max_n)
+        for n in range(1, max_n + 1):
+            level = source(n)
+            for (code, _), deck in zip(level, level.decks):
+                digest.update(code + b" " + b",".join(deck) + b"\n")
+                classes += 1
+        assert classes == count
+        assert digest.hexdigest() == want
+
+    def test_unknown_name_rejected_before_reading(self):
+        def graphs():
+            raise AssertionError("read")
+            yield
+        with pytest.raises(ValueError, match="FOO"):
+            levels_from_graphs(graphs(), 5, free_of=["FOO"])
 
 
 class TestDecks:

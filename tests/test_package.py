@@ -25,7 +25,10 @@ def test_exports_and_readme_library_example():
 TRACED_THEOREM1_6 = {
     "graphs.canonical.calls": 243,
     "enumeration.candidates": 134,
-    "patterns.match.calls": 398,
+    # the restricted levels read per-parent extension tables, which the
+    # tracer does not count: what is left is the sweep's obstruction check
+    # on each of its 40 graphs and the order-1 level's filter
+    "patterns.match.calls": 41,
     "domination.solve.calls": 46,
     "hereditary.lookup.calls": 46,
 }

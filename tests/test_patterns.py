@@ -5,14 +5,16 @@ import random
 import networkx as nx
 import pytest
 
-from expodom.enumeration import connected_graphs
-from expodom.graphs import canonical_code, from_edge_list, girth, encode_graph6
+from expodom.enumeration import StreamMode, _augment, connected_graphs, \
+    levels
+from expodom.graphs import canonical_code, from_edge_list, girth, \
+    encode_graph6, without_vertex
 from expodom.patterns import (
     OBSTRUCTION_NAMES,
     TRIANGLE_RESTRICTION_NAMES,
-    _find_induced_through,
     catalog,
     find_any_pattern,
+    extension_table,
     find_induced,
     is_free,
     is_free_with_new_vertex,
@@ -143,9 +145,9 @@ class TestFindInduced:
                     (oracles.find_induced_oracle(host, p.graph) is not None)
 
     def test_embeddings_pinned(self):
-        # every first embedding, anchored or not, of every catalog pattern in
-        # every connected graph of order <= 7; digest measured on the
-        # per-pair matcher that the candidate-mask search replaced
+        # the first embedding of every catalog pattern in every connected
+        # graph of order <= 7; digest measured on the per-pair matcher that
+        # the candidate-mask search replaced
         digest = hashlib.sha256()
         calls = 0
         for n in range(1, 8):
@@ -155,14 +157,9 @@ class TestFindInduced:
                     digest.update(
                         f"{code} {p.name} - {find_induced(g, p)}\n".encode())
                     calls += 1
-                    for a in range(g.n):
-                        hit = _find_induced_through(g, p, a)
-                        digest.update(
-                            f"{code} {p.name} {a} {hit}\n".encode())
-                        calls += 1
-        assert calls == 108878
-        assert digest.hexdigest() == ("5d88004f2f007d001978c939d3d67408"
-                                      "082f5058b43cb78bc292648d19203414")
+        assert calls == 13944
+        assert digest.hexdigest() == ("0c7bf4de321a6f88b359a2d51d866dde"
+                                      "5b068dc77f8ccc41c93706a03c178e34")
 
     def test_ad_hoc_graph_patterns_match_oracle(self):
         # patterns outside the catalog get a plan per call
@@ -220,18 +217,73 @@ class TestFreeness:
                 all(is_free(g, [nm]) for nm in names)
 
     def test_incremental_freeness_matches_full_check(self, rng):
-        # grow a graph one vertex at a time; the last-vertex check must
-        # agree with a from-scratch check given the prefix was free
+        # add a vertex anywhere in a free graph; the check through that
+        # vertex must agree with a from-scratch check
         names = ["K3", "K23"]
         for _ in range(40):
             g = random_graph(rng, rng.randrange(2, 8))
-            prefix = from_edge_list(
-                g.n - 1,
-                [(u, v) for u, v in g.edges() if u < g.n - 1 and v < g.n - 1])
-            if not is_free(prefix, names):
+            v = rng.randrange(g.n)
+            if not is_free(without_vertex(g, v), names):
                 continue
-            assert is_free_with_new_vertex(g, names, g.n - 1) == \
+            assert is_free_with_new_vertex(g, names, v) == \
                 is_free(g, names)
+
+    def test_freeness_through_vertex_matches_oracle(self, rng):
+        # with no premise on the rest of the graph
+        small = [p for p in catalog() if p.graph.n <= 5]
+        for _ in range(40):
+            g = random_graph(rng, rng.randrange(1, 7))
+            v = rng.randrange(g.n)
+            for p in small:
+                hit = oracles.find_induced_oracle(g, p.graph, through=v)
+                assert is_free_with_new_vertex(g, [p.name], v) == \
+                    (hit is None), (encode_graph6(g), v, p.name)
+
+    def test_new_vertex_outside_graph_rejected(self):
+        g = from_edge_list(4, [(1, 2), (2, 3), (1, 3), (0, 1)])
+        for v in (-1, g.n):
+            with pytest.raises(ValueError, match="vertex v outside the graph"):
+                is_free_with_new_vertex(g, ["K3"], v)
+
+
+class TestExtensionTable:
+    @staticmethod
+    def check(p, parent_orders, contains):
+        # the blocked masks of each parent of p's own free stream are
+        # exactly the masks whose child contains p; p is connected, so a
+        # new isolated vertex completes nothing
+        source = levels(StreamMode.CONNECTED, [p.name], max(parent_orders))
+        children = blocked = 0
+        for k in parent_orders:
+            for _, parent in source(k):
+                table = extension_table(parent, [p.name])
+                assert len(table) == 1 << k and not table[0]
+                for mask in range(1, 1 << k):
+                    child = _augment(parent, mask)
+                    assert table[mask] == contains(child, p.graph), \
+                        (p.name, encode_graph6(parent), mask)
+                    children += 1
+                    blocked += table[mask]
+        return children, blocked
+
+    def test_matches_oracle_to_order_5(self):
+        children = blocked = 0
+        for p in catalog():
+            c, b = self.check(p, range(1, 6), lambda child, pg:
+                              oracles.find_induced_oracle(child, pg)
+                              is not None)
+            children += c
+            blocked += b
+        assert (children, blocked) == (9645, 594)
+
+    def test_matches_find_induced_at_order_6(self):
+        children = blocked = 0
+        for p in catalog():
+            c, b = self.check(p, [6], lambda child, pg:
+                              find_induced(child, pg) is not None)
+            children += c
+            blocked += b
+        assert (children, blocked) == (84798, 6708)
 
 
 class TestCanonicalRole:
