@@ -161,13 +161,15 @@ def _level_pairs(mode: StreamMode, free_of: frozenset[str],
     decks: dict[bytes, list[bytes]] = {}
     for pcode, parent in _level_pairs(mode, free_of, n - 1):
         k = parent.n
-        blocked = patterns.extension_table(parent, free_of)
         if mode is StreamMode.TREES:
             masks: Iterable[int] = (1 << u for u in range(k))
+            reach = 1
         else:
             masks = range(1, 1 << k)
+            reach = k
+        blocked = patterns.extension_table(parent, free_of, reach)
         for mask in masks:
-            if blocked[mask]:
+            if blocked >> mask & 1:
                 continue
             code = canonical_code(_augment(parent, mask))
             deck = decks.get(code)

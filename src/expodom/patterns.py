@@ -20,10 +20,12 @@ of H, the graph minus v has an induced embedding of H-q whose image S
 meets v's neighbourhood in T, the image of q's neighbours.  Each catalog
 pattern keeps one form per q (the plan of H-q and the steps adjacent to
 q), and `_meetings` collects the (S, T) pairs of every embedding of every
-form.  `is_free_with_new_vertex` tests v's row against them, and
-`extension_table` marks, for a pattern-free parent, every neighbourhood
-of a new vertex that would complete a pattern, so an enumeration settles
-all of a parent's children in one pass.
+form.  Since T has one vertex per neighbour of q, forms whose q has more
+neighbours than v can have are skipped: a new leaf meets only the forms of
+H's leaves.  `is_free_with_new_vertex` tests v's row against the pairs,
+and `extension_table` marks, for a pattern-free parent, every
+neighbourhood of a new vertex that would complete a pattern, so an
+enumeration settles all of a parent's children in one pass.
 """
 
 from __future__ import annotations
@@ -313,19 +315,21 @@ def _extend_all(plan: _Plan, near: int, adj: tuple[int, ...],
         cand ^= b
 
 
-def _meetings(host: Graph, names: Iterable[str],
-              skip: int = 0) -> set[tuple[int, int]]:
+def _meetings(host: Graph, names: Iterable[str], skip: int,
+              reach: int) -> set[tuple[int, int]]:
     """The (S, T) pairs of the named patterns' forms in the host.
 
-    For every named pattern H, vertex q of H and induced embedding of H-q
-    in the host that avoids the vertices in `skip`: S is the image and T
-    the image of q's neighbours.
+    For every named pattern H, vertex q of H with at most `reach`
+    neighbours, and induced embedding of H-q in the host that avoids the
+    vertices in `skip`: S is the image and T the image of q's neighbours.
+    A vertex with at most `reach` neighbours can only meet these.
     """
     at_least = [m & ~skip for m in _degree_masks(host)]
     out: set[tuple[int, int]] = set()
     for p in _named(frozenset(names)):
         for plan, near in p._forms:
-            if len(plan) <= host.n:  # else a degree would overrun at_least
+            # a longer plan would overrun at_least with its degrees
+            if near.bit_count() <= reach and len(plan) <= host.n:
                 _extend_all(plan, near, host.adj, at_least,
                             [-1] * len(plan), 0, 0, 0, out)
     return out
@@ -336,25 +340,41 @@ def is_free_with_new_vertex(host: Graph, names: Iterable[str], v: int) -> bool:
     if not 0 <= v < host.n:
         raise ValueError("vertex v outside the graph")
     row = host.adj[v]
-    return all(row & s != t for s, t in _meetings(host, names, 1 << v))
+    return all(row & s != t for s, t in
+               _meetings(host, names, 1 << v, row.bit_count()))
 
 
-def extension_table(parent: Graph, names: Iterable[str]) -> bytearray:
-    """Entry `mask` is 1 iff the parent plus one new vertex adjacent to the
-    masked vertices contains a named pattern.
+@cache
+def _mask_columns(k: int) -> tuple[tuple[int, int], ...]:
+    """Per vertex u < k, two sets of masks in range(1 << k), each an int
+    whose bit m stands for mask m: the masks without u, then those with u."""
+    every = (1 << (1 << k)) - 1
+    columns = []
+    for u in range(k):
+        half = 1 << u
+        # ones in the upper half of every period of 2 * half bits
+        with_u = (((1 << half) - 1) << half) * (every // ((1 << 2 * half) - 1))
+        columns.append((every ^ with_u, with_u))
+    return tuple(columns)
+
+
+def extension_table(parent: Graph, names: Iterable[str], reach: int) -> int:
+    """Bit `mask`, for a mask of at most `reach` vertices, is set iff the
+    parent plus one new vertex adjacent to the masked vertices contains a
+    named pattern.
 
     The parent must be free of the named patterns.  Then every pattern in
     a child passes through the new vertex, and the child holds one exactly
     when `mask & S == T` for one of the parent's (S, T) pairs.
     """
-    full = (1 << parent.n) - 1
-    table = bytearray(full + 1)
-    for s, t in _meetings(parent, names):
-        free = full & ~s
-        sub = free
-        while True:
-            table[t | sub] = 1
-            if not sub:
-                break
-            sub = (sub - 1) & free
+    columns = _mask_columns(parent.n)
+    table = 0
+    for s, t in _meetings(parent, names, 0, reach):
+        hit = -1
+        while s:
+            b = s & -s
+            u = b.bit_length() - 1
+            hit &= columns[u][(t >> u) & 1]
+            s ^= b
+        table |= hit
     return table

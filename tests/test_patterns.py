@@ -251,19 +251,24 @@ class TestExtensionTable:
     def check(p, parent_orders, contains):
         # the blocked masks of each parent of p's own free stream are
         # exactly the masks whose child contains p; p is connected, so a
-        # new isolated vertex completes nothing
+        # new isolated vertex completes nothing.  A table with reach 1
+        # agrees on the single-vertex masks.
         source = levels(StreamMode.CONNECTED, [p.name], max(parent_orders))
         children = blocked = 0
         for k in parent_orders:
             for _, parent in source(k):
-                table = extension_table(parent, [p.name])
-                assert len(table) == 1 << k and not table[0]
+                table = extension_table(parent, [p.name], k)
+                assert 0 <= table < 1 << (1 << k) and not table & 1
+                leaves = extension_table(parent, [p.name], 1)
                 for mask in range(1, 1 << k):
                     child = _augment(parent, mask)
-                    assert table[mask] == contains(child, p.graph), \
+                    hit = table >> mask & 1
+                    assert hit == contains(child, p.graph), \
                         (p.name, encode_graph6(parent), mask)
+                    if mask.bit_count() == 1:
+                        assert leaves >> mask & 1 == hit
                     children += 1
-                    blocked += table[mask]
+                    blocked += hit
         return children, blocked
 
     def test_matches_oracle_to_order_5(self):
