@@ -13,8 +13,8 @@ from expodom.patterns import (
     OBSTRUCTION_NAMES,
     TRIANGLE_RESTRICTION_NAMES,
     catalog,
-    find_any_pattern,
     extension_table,
+    find_any_pattern,
     find_induced,
     is_free,
     is_free_with_new_vertex,
