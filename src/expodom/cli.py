@@ -16,8 +16,8 @@ from typing import Callable, Iterable, Iterator, Optional
 from . import __version__
 from .cache import ResultsCache, cache_from_environment
 from .domination import compute_all, porous_weight_table, weight_table
-from .enumeration import connected_graphs, levels_from_graphs, \
-    read_graph6_stream, trees
+from .enumeration import CountGateError, connected_graphs, \
+    levels_from_graphs, read_graph6_stream, trees
 from .graphs import Graph, Graph6Error, SizeCapError, decode_graph6, \
     encode_graph6, from_edge_list
 from .hereditary import (
@@ -323,6 +323,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except Graph6Error as exc:
         print(f"expodom: parse error: {exc}", file=sys.stderr)
         return 3
+    except CountGateError as exc:
+        print(f"expodom: count gate failed: {exc}", file=sys.stderr)
+        return 5
     except GateError as exc:
         print(f"expodom: startup gate failed: {exc}; a results cache may "
               "hold wrong values", file=sys.stderr)

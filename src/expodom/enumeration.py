@@ -7,8 +7,14 @@ and only this module says what one is: `levels` enumerates a class and
 Level-by-level augmentation: every connected graph of order k+1 arises from
 a connected graph of order k by adding one vertex with a nonempty
 neighborhood (delete any non-cut vertex to see this), and every tree arises
-from a tree by attaching a leaf.  Candidates are deduplicated by canonical
-code, and each level is kept in memory while the next is produced.
+from a tree by attaching a leaf.  Each parent is augmented along one
+neighbourhood mask per orbit of its automorphism group, since masks in one
+orbit give isomorphic children; the group's generators come from the
+parent's own labeling search.  The remaining candidates are deduplicated by
+canonical code, and each level is kept in memory while the next is
+produced.  An unrestricted level's class count is checked against the
+published one (OEIS A001349, A000055) and a mismatch raises
+`CountGateError`.
 
 Each enumerated level also carries its classes' decks: the codes of the
 parent classes whose augmentations land on the class.  A connected graph's
@@ -20,8 +26,9 @@ level does: for the whole process, in `_LEVELS`.
 Pattern restrictions are hereditary, so a restricted level is grown from
 the restricted level below it, and a child can only hold a pattern through
 its new vertex.  Each parent's `patterns.extension_table` settles all of
-its neighbourhood masks in one pass; only the unblocked ones are augmented
-and labeled.
+its neighbourhood masks in one pass.  Isomorphic children are blocked
+together, so the blocked masks are whole orbits, and one unblocked mask per
+orbit is augmented and labeled.
 """
 
 from __future__ import annotations
@@ -30,8 +37,8 @@ from enum import Enum
 from functools import cache
 from typing import Callable, Iterable, Iterator
 
-from .graphs import Graph, SizeCapError, canonical_code, decode_graph6, \
-    is_connected
+from .graphs import Graph, SizeCapError, _search, canonical_code, \
+    decode_graph6, is_connected
 from .graphs import canonical_graph  # kept for bench/tracer.py to patch
 from . import patterns
 
@@ -49,6 +56,20 @@ class StreamMode(Enum):
 #: Per mode, the noun of its cap message and the largest order enumerated.
 _CAPS = {StreamMode.CONNECTED: ("connected", MAX_CONNECTED_ORDER),
          StreamMode.TREES: ("tree", MAX_TREE_ORDER)}
+
+#: Per mode, the published class counts of the unrestricted levels from
+#: order 1: connected graphs (OEIS A001349) and trees (OEIS A000055).
+_CLASS_COUNTS = {
+    StreamMode.CONNECTED: ("A001349", (1, 1, 2, 6, 21, 112, 853, 11117,
+                                       261080, 11716571)),
+    StreamMode.TREES: ("A000055", (1, 1, 1, 2, 3, 6, 11, 23, 47, 106, 235,
+                                   551, 1301, 3159)),
+}
+
+
+class CountGateError(patterns.GateError):
+    """An unrestricted level's class count differs from the published one."""
+
 
 #: A sweep's graphs of one order: (canonical code, graph) pairs, each graph
 #: its class's canonical representative, in code order.
@@ -168,9 +189,8 @@ def _level_pairs(mode: StreamMode, free_of: frozenset[str],
             masks = range(1, 1 << k)
             reach = k
         blocked = patterns.extension_table(parent, free_of, reach)
-        for mask in masks:
-            if blocked >> mask & 1:
-                continue
+        for mask in _orbit_masks(parent, (m for m in masks
+                                          if not blocked >> m & 1)):
             code = canonical_code(_augment(parent, mask))
             deck = decks.get(code)
             if deck is None:
@@ -181,8 +201,58 @@ def _level_pairs(mode: StreamMode, free_of: frozenset[str],
     codes = sorted(decks)
     level = Level([(code, decode_graph6(code)) for code in codes],
                   [decks[code] for code in codes])
+    if not free_of:
+        _check_count(mode, n, len(level))
     _LEVELS[key] = level
     return level
+
+
+def _orbit_masks(parent: Graph, masks: Iterable[int]) -> Iterator[int]:
+    """The least mask of each Aut(parent) orbit among `masks`.
+
+    `masks` must be ascending and closed under Aut(parent); masks in one
+    orbit give isomorphic children.  The generators come from the labeling
+    search, called directly rather than through `canonical_code`, so that
+    the calls of `canonical_code` are the candidates' labelings alone.
+    """
+    generators: set[tuple[int, ...]] = set()
+    _search(parent.adj, generators)
+    if not generators:
+        yield from masks
+        return
+    # per generator: the bits it fixes, and (source bit, image bit) of the
+    # vertices it moves
+    moves = []
+    for image in generators:
+        moved = [(1 << v, 1 << w) for v, w in enumerate(image) if v != w]
+        moves.append((~sum(src for src, _ in moved), moved))
+    seen = set()
+    for mask in masks:
+        if mask in seen:
+            continue
+        yield mask
+        seen.add(mask)
+        stack = [mask]
+        while stack:
+            m = stack.pop()
+            for fixed, moved in moves:
+                img = m & fixed
+                for src, dst in moved:
+                    if m & src:
+                        img |= dst
+                if img not in seen:
+                    seen.add(img)
+                    stack.append(img)
+
+
+def _check_count(mode: StreamMode, n: int, found: int) -> None:
+    """Raise CountGateError unless an unrestricted level has the published
+    number of classes (where the table reaches)."""
+    sequence, counts = _CLASS_COUNTS[mode]
+    if n <= len(counts) and found != counts[n - 1]:
+        raise CountGateError(
+            f"{_CAPS[mode][0]} level of order {n} has {found} classes, "
+            f"expected {counts[n - 1]} (OEIS {sequence})")
 
 
 def _augment(parent: Graph, neighborhood: int) -> Graph:

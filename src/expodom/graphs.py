@@ -340,6 +340,14 @@ def decode_graph6(text: str | bytes) -> Graph:
 # code is the least of these strings, packed.  Prefix pruning against the
 # best string so far keeps the tree small; a transposition-automorphism
 # (twin) skip inside the branch cell stops K_n-like cells exploding.
+#
+# The same search yields generators of the automorphism group: a leaf whose
+# string equals the best one differs from the best leaf by an automorphism,
+# and so does each twin skip's transposition.  Refinement commutes with
+# automorphisms and neither pruning rule can hide every leaf of the best
+# string below a vertex of the first best leaf's orbit in its cell, so at
+# each node of that leaf's path the generators found move its vertex to
+# every vertex of that orbit: they generate the whole group.
 
 def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
     changed = True
@@ -360,14 +368,19 @@ def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
     return cells
 
 
-def canonical_code(g: Graph) -> bytes:
-    """graph6 bytes of g's canonical form; equal iff isomorphic."""
-    n = g.n
-    adj = g.adj
+def _search(adj: tuple[int, ...],
+            generators: set[tuple[int, ...]] | None = None) -> list[int]:
+    """The least leaf's graph6 columns.
+
+    With a `generators` set, also adds generators of the graph's
+    automorphism group to it, each a tuple whose entry v is the image of v.
+    """
+    n = len(adj)
     best: list[int] | None = None
+    best_order: list[int] = []
 
     def dfs(cells: list[int]) -> None:
-        nonlocal best
+        nonlocal best, best_order
         order = []
         for c in cells:
             if c & (c - 1) == 0:
@@ -380,7 +393,14 @@ def canonical_code(g: Graph) -> bytes:
             return
         if p == n:
             if best is None or rows < best:
-                best = rows
+                best, best_order = rows, order
+            elif generators is not None:
+                # same relabeled graph: best_order[i] -> order[i] is an
+                # automorphism
+                image = [0] * n
+                for u, v in zip(best_order, order):
+                    image[u] = v
+                generators.add(tuple(image))
             return
         target = cells[p]
         tried: list[int] = []
@@ -390,6 +410,10 @@ def canonical_code(g: Graph) -> bytes:
             for u in tried:
                 # transposition (u v) is an automorphism: branches coincide
                 if (adj[u] & ~vb) == (adj[v] & ~(1 << u)):
+                    if generators is not None:
+                        image = list(range(n))
+                        image[u], image[v] = v, u
+                        generators.add(tuple(image))
                     skip = True
                     break
             if skip:
@@ -398,8 +422,13 @@ def canonical_code(g: Graph) -> bytes:
             dfs(_refine(adj, cells[:p] + [vb, target ^ vb] + cells[p + 1:]))
 
     if n > 1:
-        dfs(_refine(adj, [g.vertex_mask]))
-    return _pack(n, best or ())
+        dfs(_refine(adj, [(1 << n) - 1]))
+    return best or []
+
+
+def canonical_code(g: Graph) -> bytes:
+    """graph6 bytes of g's canonical form; equal iff isomorphic."""
+    return _pack(g.n, _search(g.adj))
 
 
 def canonical_graph(g: Graph) -> Graph:

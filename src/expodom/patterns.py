@@ -44,7 +44,8 @@ Embedding = tuple[int, ...]
 
 
 class GateError(AssertionError):
-    """A startup gate found wrong parameter values (solved or cached)."""
+    """A gate found a wrong result: parameter values at startup (solved or
+    cached), or a level's class count (`enumeration.CountGateError`)."""
 
 
 @dataclass(frozen=True)

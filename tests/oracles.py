@@ -5,7 +5,8 @@ enumeration for constrained distances and weights, subset enumeration for
 domination, raw injections for induced pattern matching, and labeled
 enumeration plus permutation canonicalization for isomorphism-class
 counts.  Slow on purpose, and deliberately free of the package's own
-search machinery.
+search machinery, apart from the all-masks level builder, which keeps the
+package's labeling and extension tables to check its orbit pruning alone.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from expodom.graphs import (
     Graph,
     canonical_code,
     connected_components,
+    decode_graph6,
     induced_subgraph,
     without_vertex,
 )
@@ -264,3 +266,35 @@ def class_count_oracle(n: int, trees: bool = False) -> int:
         keys = kept[:, pm] @ weights
         best = keys if best is None else np.minimum(best, keys)
     return int(np.unique(best).size)
+
+
+def levels_oracle(trees: bool, free_of, max_n: int) -> dict:
+    """{order: [(code, deck), ...] in code order} for orders 1..max_n.
+
+    The level builder before orbit pruning: every parent, in level order,
+    is augmented along every neighbourhood mask (every single vertex for
+    trees) that its extension table leaves unblocked, and every child is
+    labeled.  A deck lists the parents that reach its class, in order.
+    """
+    from expodom.enumeration import _augment
+    from expodom.patterns import extension_table
+
+    names = frozenset(free_of)
+    out = {1: [(canonical_code(Graph(1, (0,))), [])]}
+    for n in range(2, max_n + 1):
+        decks: dict[bytes, list[bytes]] = {}
+        for pcode, _ in out[n - 1]:
+            parent = decode_graph6(pcode)
+            k = parent.n
+            masks = [1 << u for u in range(k)] if trees \
+                else range(1, 1 << k)
+            blocked = extension_table(parent, names, 1 if trees else k)
+            for mask in masks:
+                if blocked >> mask & 1:
+                    continue
+                deck = decks.setdefault(
+                    canonical_code(_augment(parent, mask)), [])
+                if pcode not in deck:
+                    deck.append(pcode)
+        out[n] = sorted(decks.items())
+    return out

@@ -393,6 +393,30 @@ class TestVerify:
         assert "a results cache may hold wrong values" in err
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, mode, n", [
+        (("verify", "--sweep", "conjecture3", "--max-n", "5"),
+         enumeration.StreamMode.CONNECTED, 5),
+        (("verify", "--sweep", "corollary2", "--max-n", "6"),
+         enumeration.StreamMode.TREES, 6),
+        (("enum", "--n", "5"), enumeration.StreamMode.CONNECTED, 5),
+        (("enum", "--n", "6", "--trees"), enumeration.StreamMode.TREES, 6),
+    ], ids=["verify", "verify-trees", "enum", "enum-trees"])
+    def test_wrong_class_count_fails_gate_exit_5(self, capsys, monkeypatch,
+                                                 argv, mode, n):
+        # a count table that disagrees with the enumeration at order n
+        sequence, counts = enumeration._CLASS_COUNTS[mode]
+        bent = counts[:n - 1] + (counts[n - 1] + 1,) + counts[n:]
+        monkeypatch.setitem(enumeration._CLASS_COUNTS, mode, (sequence, bent))
+        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        code, out, err = run(capsys, *argv)
+        assert code == 5
+        assert out == ""
+        noun = "connected" if mode is enumeration.StreamMode.CONNECTED \
+            else "tree"
+        assert err == (f"expodom: count gate failed: {noun} level of order "
+                       f"{n} has {counts[n - 1]} classes, expected "
+                       f"{counts[n - 1] + 1} (OEIS {sequence})\n")
+
     def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "env-cache.tsv"
         monkeypatch.setenv(CACHE_ENV_VAR, str(path))

@@ -3,9 +3,12 @@ import io
 
 import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 
+from expodom import enumeration
 from expodom.enumeration import (
     StreamMode,
+    _orbit_masks,
     connected_graphs,
     levels,
     levels_from_graphs,
@@ -164,20 +167,25 @@ class TestRestrictedStream:
             assert sum(1 for _ in connected_graphs(
                 n, free_of=TRIANGLE_RESTRICTION_NAMES)) == count, n
 
-    @pytest.mark.parametrize("free_of, max_n, count, want", [
-        (RESTRICTION_NAMES, 8, 281,
+    @pytest.mark.parametrize("mode, free_of, max_n, count, want", [
+        (StreamMode.CONNECTED, RESTRICTION_NAMES, 8, 281,
          "94e9da5a69b4e31c90f382a71b886318a3b3cc8c71ea5d0c753a6a57f7e2ca19"),
-        (TRIANGLE_RESTRICTION_NAMES, 8, 173,
+        (StreamMode.CONNECTED, TRIANGLE_RESTRICTION_NAMES, 8, 173,
          "5d3ba2f7fff04db1fa1b35f0503c4d1b27d657a9ea52bbca370bed9f6a098776"),
-        (OBSTRUCTION_NAMES, 7, 951,
+        (StreamMode.CONNECTED, OBSTRUCTION_NAMES, 7, 951,
          "6c6ee0af3d88d001fb130e1b66ab2f7ae58a3fcb769531d82172da0595db647a"),
-    ], ids=["restriction", "triangle", "obstruction"])
-    def test_levels_pinned(self, free_of, max_n, count, want):
+        (StreamMode.CONNECTED, (), 7, 996,
+         "d8c0b8acf9eb88a73627db2d1a9a217864eff88feac3aeb5196c8161bd66fcca"),
+        (StreamMode.TREES, (), 11, 436,
+         "8d0a7bef86d0c54b217da79b0fb160feb11f71677e085470162a9fff657a2925"),
+    ], ids=["restriction", "triangle", "obstruction", "connected", "trees"])
+    def test_levels_pinned(self, mode, free_of, max_n, count, want):
         # SHA-256 over code + deck per class in level order, pinned from
         # the enumeration that matched every candidate child on its own
+        # (the unrestricted ones from the one that labeled every mask)
         digest = hashlib.sha256()
         classes = 0
-        source = levels(StreamMode.CONNECTED, free_of, max_n)
+        source = levels(mode, free_of, max_n)
         for n in range(1, max_n + 1):
             level = source(n)
             for (code, _), deck in zip(level, level.decks):
@@ -192,6 +200,87 @@ class TestRestrictedStream:
             yield
         with pytest.raises(ValueError, match="FOO"):
             levels_from_graphs(graphs(), 5, free_of=["FOO"])
+
+
+def _burnside(g, fixed) -> int:
+    """Orbit count of Aut(g) by Burnside: the mean of `fixed(automorphism)`
+    over networkx's automorphisms, each a dict from vertex to image."""
+    nxg = nx.Graph(list(g.edges()))
+    nxg.add_nodes_from(range(g.n))
+    autos = list(GraphMatcher(nxg, nxg).isomorphisms_iter())
+    total = sum(fixed(a) for a in autos)
+    assert total % len(autos) == 0
+    return total // len(autos)
+
+
+def _cycles(perm: dict) -> int:
+    seen = set()
+    cycles = 0
+    for v in perm:
+        if v not in seen:
+            cycles += 1
+            while v not in seen:
+                seen.add(v)
+                v = perm[v]
+    return cycles
+
+
+class TestOrbitPruning:
+    @pytest.mark.parametrize("mode, free_of, max_n", [
+        (StreamMode.CONNECTED, (), 7),
+        (StreamMode.CONNECTED, RESTRICTION_NAMES, 8),
+        (StreamMode.TREES, (), 11),
+    ], ids=["connected", "restricted", "trees"])
+    def test_levels_equal_all_masks_oracle(self, mode, free_of, max_n):
+        # one mask per orbit reaches the same classes from the same
+        # parents: codes and decks equal, in order
+        want = oracles.levels_oracle(mode is StreamMode.TREES, free_of,
+                                     max_n)
+        source = levels(mode, free_of, max_n)
+        for n in range(1, max_n + 1):
+            level = source(n)
+            got = [(code, deck) for (code, _), deck in
+                   zip(level, level.decks)]
+            assert got == want[n], n
+
+    def test_connected_masks_one_per_orbit(self):
+        # orbits of Aut(g) on nonempty vertex sets: 2^cycles - 1 fixed
+        for n in range(1, 7):
+            for g in connected_graphs(n):
+                kept = list(_orbit_masks(g, range(1, 1 << n)))
+                assert kept == sorted(kept)
+                assert len(kept) == _burnside(
+                    g, lambda a: (1 << _cycles(a)) - 1), encode_graph6(g)
+
+    def test_tree_masks_one_per_orbit(self):
+        # orbits of Aut(t) on single vertices: fixed points
+        for n in range(1, 10):
+            for t in trees(n):
+                kept = list(_orbit_masks(t, (1 << u for u in range(n))))
+                assert kept == sorted(kept)
+                assert len(kept) == _burnside(
+                    t, lambda a: sum(v == w for v, w in a.items())), \
+                    encode_graph6(t)
+
+    def test_count_table_agrees_with_frozen_counts(self):
+        for mode, frozen in ((StreamMode.CONNECTED, CONNECTED_CLASS_COUNTS),
+                             (StreamMode.TREES, TREE_CLASS_COUNTS)):
+            counts = enumeration._CLASS_COUNTS[mode][1]
+            for n, count in frozen.items():
+                assert counts[n - 1] == count, (mode, n)
+
+    def test_count_gate_names_mode_order_and_counts(self, monkeypatch):
+        sequence, counts = enumeration._CLASS_COUNTS[StreamMode.TREES]
+        bent = counts[:5] + (counts[5] + 1,) + counts[6:]
+        monkeypatch.setitem(enumeration._CLASS_COUNTS, StreamMode.TREES,
+                            (sequence, bent))
+        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        with pytest.raises(enumeration.CountGateError) as err:
+            trees(6)
+        assert str(err.value) == ("tree level of order 6 has 6 classes, "
+                                  "expected 7 (OEIS A000055)")
+        # a restricted level is not gated
+        assert len(trees(6, free_of=("P7",))) == 6
 
 
 class TestDecks:

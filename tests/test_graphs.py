@@ -10,6 +10,7 @@ from expodom.graphs import (
     Graph,
     Graph6Error,
     SizeCapError,
+    _search,
     canonical_code,
     canonical_graph,
     connected_components,
@@ -261,6 +262,28 @@ class TestCanonical:
         assert calls == 116_146
         assert digest.hexdigest() == (
             "3bd582446954b6c76ad180d72b4b560709df9b865556909a607acd7d74b9c944")
+
+    def test_search_generators_are_automorphisms(self, rng):
+        graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
+        graphs += [random_graph(rng, 9, p) for p in (0.2, 0.5, 0.8)
+                   for _ in range(20)]
+        graphs += [cycle_graph(9), from_edge_list(5, [(0, 1), (2, 3)]),
+                   from_edge_list(10, [(i, j) for j in range(10)
+                                       for i in range(j)])]
+        found = 0
+        for g in graphs:
+            generators: set[tuple[int, ...]] = set()
+            _search(g.adj, generators)
+            found += len(generators)
+            for image in generators:
+                assert sorted(image) == list(range(g.n))
+                for u in range(g.n):
+                    row = 0
+                    for v in range(g.n):
+                        if g.has_edge(u, v):
+                            row |= 1 << image[v]
+                    assert row == g.adj[image[u]], encode_graph6(g)
+        assert found
 
     def test_complete_graph_fast(self):
         # the twin skip must keep K_n from exploding into n! branches

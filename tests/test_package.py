@@ -23,8 +23,10 @@ def test_exports_and_readme_library_example():
 #: Traced counts of `verify --sweep theorem1 --max-n 6` in a fresh process.
 #: A change that moves one on purpose updates it and says why.
 TRACED_THEOREM1_6 = {
-    "graphs.canonical.calls": 243,
-    "enumeration.candidates": 134,
+    # one candidate per Aut(parent) orbit of unblocked masks: 134 -> 74;
+    # the parents' own searches call graphs._search, which is not traced
+    "graphs.canonical.calls": 183,
+    "enumeration.candidates": 74,
     # the restricted levels read per-parent extension tables, which the
     # tracer does not count: what is left is the sweep's obstruction check
     # on each of its 40 graphs and the order-1 level's filter
