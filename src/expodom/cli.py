@@ -91,8 +91,13 @@ def _graphs(path: str) -> Iterator[Graph]:
 
 
 def _load_graph(args) -> Graph:
-    if getattr(args, "edge_list", None):
-        return _read_edge_list(args.edge_list, getattr(args, "n", None))
+    # refuse an input that would be ignored, before any file is read
+    if args.edge_list and args.graph is not None:
+        raise ValueError("give a graph6 argument or --edge-list, not both")
+    if args.n is not None and not args.edge_list:
+        raise ValueError("--n applies only with --edge-list")
+    if args.edge_list:
+        return _read_edge_list(args.edge_list, args.n)
     if args.graph is None:
         raise Graph6Error("no graph given (graph6 argument or --edge-list)")
     if args.graph != "-":
@@ -182,7 +187,7 @@ def cmd_enum(args) -> int:
 
 
 def _make_store(args) -> ParamStore:
-    if getattr(args, "cache", None):
+    if args.cache:
         return ParamStore(ResultsCache(args.cache))
     env_cache = cache_from_environment()
     return ParamStore(env_cache) if env_cache is not None else ParamStore()
@@ -206,9 +211,8 @@ def cmd_minimal(args) -> int:
     free = _split_names(args.free) if args.free else ()
     kind = ClassKind.POROUS if args.porous else ClassKind.EXPONENTIAL
     spec = minimal_spec(kind, free)
-    max_n = spec.default_max_n if args.max_n is None else args.max_n
     with closing(_make_store(args)) as store:
-        report = spec.run(max_n, jobs=args.jobs, store=store)
+        report = spec.run(args.max_n, jobs=args.jobs, store=store)
     found = report.extras["found"]
     if args.format == "json":
         print(report.to_json())
@@ -244,6 +248,16 @@ def _add_graph_input(sub: argparse.ArgumentParser) -> None:
                      help="read 'u v' lines instead of graph6")
     sub.add_argument("--n", type=int, default=None,
                      help="order override for --edge-list")
+
+
+def _add_sweep_options(sub: argparse.ArgumentParser,
+                       max_n_default: str) -> None:
+    sub.add_argument("--max-n", type=int, default=None,
+                     help=f"largest order to scan ({max_n_default})")
+    sub.add_argument("--jobs", type=_jobs, default=1,
+                     help="parallel solver processes")
+    sub.add_argument("--cache", metavar="FILE",
+                     help="append-only results cache path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,27 +298,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="run an exhaustive sweep")
     p.add_argument("--sweep", required=True, choices=tuple(_SWEEPS),
                    help="which claim to check")
-    p.add_argument("--max-n", type=int, default=None,
-                   help="largest order to scan (sweep-specific default)")
-    p.add_argument("--jobs", type=_jobs, default=1,
-                   help="parallel solver processes")
-    p.add_argument("--cache", metavar="FILE",
-                   help="append-only results cache path")
+    _add_sweep_options(p, "sweep-specific default")
     p.add_argument("--graphs", metavar="FILE",
                    help="sweep these graph6 lines instead of enumerating")
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("minimal", help="list minimal forbidden graphs")
-    p.add_argument("--max-n", type=int, default=None,
-                   help="largest order to scan (default 7)")
+    _add_sweep_options(p, f"default {minimal_spec().default_max_n}")
     p.add_argument("--free", nargs="*", metavar="NAME",
                    help="restrict the scan to graphs free of these patterns")
     p.add_argument("--porous", action="store_true",
                    help="scan the porous class instead")
-    p.add_argument("--jobs", type=_jobs, default=1,
-                   help="parallel solver processes")
-    p.add_argument("--cache", metavar="FILE",
-                   help="append-only results cache path")
     p.add_argument("--format", choices=("text", "json", "csv"),
                    default="text")
     p.set_defaults(func=cmd_minimal)

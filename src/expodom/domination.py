@@ -87,33 +87,20 @@ def constrained_distance(g: Graph, d: int | Iterable[int], u: int, v: int):
     return levels[u] if levels[u] >= 0 else INFINITY
 
 
-def _punctured_levels(g: Graph, dmask: int, v: int) -> list[int]:
-    # BFS from v in the subgraph induced on (V \ d) + v
-    allowed = (g.vertex_mask & ~dmask) | (1 << v)
+def _punctured_levels(g: Graph, blocked: int, v: int) -> list[int]:
+    # BFS from v in the subgraph induced on (V \ blocked) + v
+    allowed = (g.vertex_mask & ~blocked) | (1 << v)
     return bfs_levels(g, 1 << v, allowed)
 
 
-def _weight_numerators(g: Graph, dmask: int) -> list[int]:
-    """Numerator of the non-porous weight at every vertex, scale 2^n."""
+def _numerators(g: Graph, dmask: int, porous: bool) -> list[int]:
+    """Weight numerator at every vertex, scale 2^n: one BFS per set vertex."""
     n = g.n
     nums = [0] * n
+    # porous paths run anywhere; constrained ones avoid the other set vertices
+    blocked = 0 if porous else dmask
     for v in iter_bits(dmask):
-        levels = _punctured_levels(g, dmask, v)
-        for u in range(n):
-            d = levels[u]
-            if d >= 0:
-                nums[u] += 1 << (n + 1 - d)
-    return nums
-
-
-def _porous_numerators(g: Graph, dmask: int) -> list[int]:
-    """Same, with plain distances: one BFS per vertex of the set."""
-    n = g.n
-    nums = [0] * n
-    for v in iter_bits(dmask):
-        levels = bfs_levels(g, 1 << v)
-        for u in range(n):
-            d = levels[u]
+        for u, d in enumerate(_punctured_levels(g, blocked, v)):
             if d >= 0:
                 nums[u] += 1 << (n + 1 - d)
     return nums
@@ -123,14 +110,14 @@ def weight_table(g: Graph, d: int | Iterable[int]) -> list[Fraction]:
     """`weight` at every vertex, from one pass over the set."""
     scale = 1 << g.n
     return [Fraction(num, scale)
-            for num in _weight_numerators(g, _as_mask(g, d))]
+            for num in _numerators(g, _as_mask(g, d), False)]
 
 
 def porous_weight_table(g: Graph, d: int | Iterable[int]) -> list[Fraction]:
     """`porous_weight` at every vertex, from one pass over the set."""
     scale = 1 << g.n
     return [Fraction(num, scale)
-            for num in _porous_numerators(g, _as_mask(g, d))]
+            for num in _numerators(g, _as_mask(g, d), True)]
 
 
 def weight(g: Graph, d: int | Iterable[int], u: int) -> Fraction:
@@ -158,15 +145,13 @@ def is_dominating(g: Graph, d: int | Iterable[int]) -> bool:
 
 
 def is_exponential_dominating(g: Graph, d: int | Iterable[int]) -> bool:
-    dmask = _as_mask(g, d)
     one = 1 << g.n
-    return all(num >= one for num in _weight_numerators(g, dmask))
+    return all(num >= one for num in _numerators(g, _as_mask(g, d), False))
 
 
 def is_porous_exponential_dominating(g: Graph, d: int | Iterable[int]) -> bool:
-    dmask = _as_mask(g, d)
     one = 1 << g.n
-    return all(num >= one for num in _porous_numerators(g, dmask))
+    return all(num >= one for num in _numerators(g, _as_mask(g, d), True))
 
 
 # ----------------------------------------------------------------------
@@ -256,8 +241,7 @@ def _porous_walk(g: Graph, exact: bool, chosen: list[int]):
         return (nums + bias) & high == high
 
     # rows[v][u]: the porous numerator that v alone puts on u
-    rows = [[1 << (n + 1 - d) if d >= 0 else 0 for d in bfs_levels(g, 1 << v)]
-            for v in range(n)]
+    rows = [_numerators(g, 1 << v, True) for v in range(n)]
     reach = [pack(row) for row in rows]
     # best[j], lane u: the largest rows[v][u] over v >= j
     best = [0] * n

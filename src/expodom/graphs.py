@@ -118,19 +118,9 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 def relabel(g: Graph, order: Iterable[int]) -> Graph:
     """Relabeled copy; position i of `order` holds the old vertex renamed i."""
     order = tuple(order)
-    n = g.n
-    if sorted(order) != list(range(n)):
+    if sorted(order) != list(range(g.n)):
         raise ValueError("order is not a permutation of the vertices")
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
-    rows = [0] * n
-    for i, v in enumerate(order):
-        row = 0
-        for w in iter_bits(g.adj[v]):
-            row |= 1 << pos[w]
-        rows[i] = row
-    return Graph(n, tuple(rows))
+    return _renamed(g, order)
 
 
 def induced_subgraph(g: Graph, vertices: int | Iterable[int]) -> Graph:
@@ -138,14 +128,19 @@ def induced_subgraph(g: Graph, vertices: int | Iterable[int]) -> Graph:
     mask = vertices if isinstance(vertices, int) else mask_from(vertices)
     if mask >> g.n:
         raise ValueError("vertex mask outside the graph")
-    kept = bits_list(mask)
+    return _renamed(g, bits_list(mask))
+
+
+def _renamed(g: Graph, kept: tuple[int, ...]) -> Graph:
+    """The graph induced on the distinct vertices `kept`, kept[i] renamed i."""
     pos = {v: i for i, v in enumerate(kept)}
-    rows = [0] * len(kept)
-    for i, v in enumerate(kept):
+    mask = mask_from(kept)
+    rows = []
+    for v in kept:
         row = 0
         for w in iter_bits(g.adj[v] & mask):
             row |= 1 << pos[w]
-        rows[i] = row
+        rows.append(row)
     return Graph(len(kept), tuple(rows))
 
 

@@ -319,8 +319,8 @@ class TestVerify:
         assert (code, out, err) == (status, "", message)
 
     @pytest.mark.parametrize("argv", [
-        ("verify", "--sweep", "conjecture3", "--max-n", "11"),
-        ("minimal", "--max-n", "11"),
+        ("verify", "--sweep", "conjecture3", "--max-n", "10"),
+        ("minimal", "--max-n", "10"),
     ])
     def test_stream_cap_refused_before_any_level(self, capsys, monkeypatch,
                                                  argv):
@@ -331,7 +331,7 @@ class TestVerify:
         code, out, err = run(capsys, *argv)
         assert code == 4
         assert out == ""
-        assert err == "expodom: connected enumeration capped at order 10\n"
+        assert err == "expodom: connected enumeration capped at order 9\n"
 
     def test_graphs_file_has_no_stream_cap(self, capsys, tmp_path,
                                            monkeypatch):
@@ -502,6 +502,25 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert err == f"expodom: max_n must be at least 1, got {max_n}\n"
+
+    @pytest.mark.parametrize("command", ["params", "member", "match"])
+    @pytest.mark.parametrize("graph", ["A_", "-"])
+    def test_graph6_with_edge_list_exit_2(self, capsys, tmp_path, command,
+                                          graph):
+        # refused before either input is read: the file does not exist, and
+        # pytest's stdin raises on a read
+        path = tmp_path / "missing.el"
+        code, out, err = run(capsys, command, graph, "--edge-list", str(path))
+        assert (code, out) == (2, "")
+        assert err == ("expodom: give a graph6 argument or --edge-list, "
+                       "not both\n")
+
+    @pytest.mark.parametrize("command", ["params", "member", "match"])
+    @pytest.mark.parametrize("graph", ["A_", "-"])
+    def test_order_without_edge_list_exit_2(self, capsys, command, graph):
+        code, out, err = run(capsys, command, graph, "--n", "5")
+        assert (code, out) == (2, "")
+        assert err == "expodom: --n applies only with --edge-list\n"
 
     def test_missing_edge_list_file_exit_3(self, capsys):
         code, _, _ = run(capsys, "params", "--edge-list", "/nonexistent/x")

@@ -27,7 +27,9 @@ from expodom.patterns import (
     OBSTRUCTION_NAMES,
     RESTRICTION_NAMES,
     TRIANGLE_RESTRICTION_NAMES,
+    catalog,
     is_free,
+    pattern_names,
 )
 
 import oracles
@@ -72,7 +74,7 @@ class TestConnectedStream:
 
     def test_order_cap(self):
         with pytest.raises(SizeCapError):
-            next(iter(connected_graphs(11)))
+            next(iter(connected_graphs(10)))
 
 
 class TestTreeStream:
@@ -117,6 +119,14 @@ class TestRestrictedStream:
         post = sorted(canonical_code(g) for g in connected_graphs(6)
                       if is_free(g, names))
         assert pruned == post
+
+    def test_order_one_is_never_filtered(self):
+        # the order-1 level is built without a pattern check: no catalog
+        # pattern is small enough to embed in it
+        assert min(p.graph.n for p in catalog()) >= 3
+        for mode in StreamMode:
+            assert [g.n for _, g in levels(mode, pattern_names(), 1)(1)] \
+                == [1]
 
     def test_triangle_filter_small(self):
         # only connected triangle-free graph on 3 vertices is the path

@@ -30,6 +30,17 @@ from conftest import cycle_graph, path_graph, random_graph
 from oracles import plain_distance_oracle
 
 
+def _to_nx(g: Graph) -> nx.Graph:
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges())
+    return G
+
+
+def _edge_set(G: nx.Graph) -> set[tuple[int, int]]:
+    return {(min(u, v), max(u, v)) for u, v in G.edges()}
+
+
 class TestGraphInvariants:
     def test_rejects_self_loop(self):
         with pytest.raises(ValueError):
@@ -94,6 +105,28 @@ class TestSurgery:
     def test_without_vertex(self):
         c4 = cycle_graph(4)
         assert list(without_vertex(c4, 0).edges()) == [(0, 1), (1, 2)]
+
+    def test_induced_subgraph_matches_networkx(self, rng):
+        for n in range(1, 13):
+            for _ in range(6):
+                g = random_graph(rng, n)
+                kept = [v for v in range(n) if rng.random() < 0.6]
+                want = nx.convert_node_labels_to_integers(
+                    _to_nx(g).subgraph(kept), ordering="sorted")
+                for vertices in (kept, sum(1 << v for v in kept)):
+                    sub = induced_subgraph(g, vertices)
+                    assert sub.n == len(kept)
+                    assert set(sub.edges()) == _edge_set(want)
+
+    def test_relabel_matches_networkx(self, rng):
+        for n in range(1, 13):
+            for _ in range(6):
+                g = random_graph(rng, n)
+                order = list(range(n))
+                rng.shuffle(order)
+                want = nx.relabel_nodes(
+                    _to_nx(g), {old: new for new, old in enumerate(order)})
+                assert set(relabel(g, order).edges()) == _edge_set(want)
 
     def test_induced_mask_bounds(self):
         with pytest.raises(ValueError):
