@@ -99,7 +99,7 @@ def _load_graph(args) -> Graph:
     if args.edge_list:
         return _read_edge_list(args.edge_list, args.n)
     if args.graph is None:
-        raise Graph6Error("no graph given (graph6 argument or --edge-list)")
+        raise ValueError("no graph given (graph6 argument or --edge-list)")
     if args.graph != "-":
         return decode_graph6(args.graph)
     g = next(_graphs("-"), None)

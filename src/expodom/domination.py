@@ -25,14 +25,22 @@ weight is additive over the set, so when the chosen prefix plus the best
 contributions the remaining picks could make still leaves some vertex below
 1, no completion of the prefix is accepted.  Every solver returns the
 lexicographically least optimal set as its certificate.
+
+`compute_all` and `parameter_values` build that walk's rows once per graph
+and walk it for gamma_e_star from k = 0, then for gamma_e from
+k = gamma_e_star.  That is exact with no theorem behind it: both walks have
+the same tree and the same cuts, and gamma_e's leaf test is the porous
+test followed by the full weight check, so it accepts nothing below
+gamma_e_star.  gamma's walk shares nothing with them and still starts at
+k = 0, so that the chain gamma >= gamma_e >= gamma_e_star, which the sweeps
+and the results cache check, compares independent searches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .graphs import (
     Graph,
@@ -41,6 +49,9 @@ from .graphs import (
     iter_bits,
     mask_from,
 )
+
+if TYPE_CHECKING:  # the weight tables import it when called
+    from fractions import Fraction
 
 
 class ParamKind(Enum):
@@ -108,6 +119,8 @@ def _numerators(g: Graph, dmask: int, porous: bool) -> list[int]:
 
 def weight_table(g: Graph, d: int | Iterable[int]) -> list[Fraction]:
     """`weight` at every vertex, from one pass over the set."""
+    from fractions import Fraction
+
     scale = 1 << g.n
     return [Fraction(num, scale)
             for num in _numerators(g, _as_mask(g, d), False)]
@@ -115,6 +128,8 @@ def weight_table(g: Graph, d: int | Iterable[int]) -> list[Fraction]:
 
 def porous_weight_table(g: Graph, d: int | Iterable[int]) -> list[Fraction]:
     """`porous_weight` at every vertex, from one pass over the set."""
+    from fractions import Fraction
+
     scale = 1 << g.n
     return [Fraction(num, scale)
             for num in _numerators(g, _as_mask(g, d), True)]
@@ -186,6 +201,12 @@ def is_porous_exponential_dominating(g: Graph, d: int | Iterable[int]) -> bool:
 # where best[j][u] is the largest numerator any vertex >= j puts on u.  A
 # leaf left standing is porous dominating, which is all gamma_e_star asks;
 # gamma_e runs its full weight check there.
+#
+# One set of rows, `reach` and `best` serves both parameters, and the exact
+# walk starts where the porous one stopped (the module docstring says why).
+# There the porous certificate is the first porous dominating set; when it
+# passes the full check it is the first exact one too, and the exact walk
+# is skipped.
 
 def _dominating_walk(g: Graph, chosen: list[int]):
     n = g.n
@@ -221,7 +242,7 @@ def _dominating_walk(g: Graph, chosen: list[int]):
     return lambda k: walk(g.vertex_mask, 0, k)
 
 
-def _porous_walk(g: Graph, exact: bool, chosen: list[int]):
+def _porous_walk(g: Graph, chosen: list[int]):
     n = g.n
     one = 1 << n
     # Porous numerators are packed one per vertex into a lane of an int, so
@@ -250,7 +271,7 @@ def _porous_walk(g: Graph, exact: bool, chosen: list[int]):
         top = list(map(max, top, rows[j]))
         best[j] = pack(top)
 
-    def walk(nums: int, start: int, remaining: int) -> bool:
+    def walk(nums: int, start: int, remaining: int, exact: bool) -> bool:
         if not remaining:
             return covered(nums) and (
                 not exact or is_exponential_dominating(g, chosen))
@@ -258,50 +279,60 @@ def _porous_walk(g: Graph, exact: bool, chosen: list[int]):
             if not covered(nums + remaining * best[v]):
                 return False
             chosen.append(v)
-            if walk(nums + reach[v], v + 1, remaining - 1):
+            if walk(nums + reach[v], v + 1, remaining - 1, exact):
                 return True
             chosen.pop()
         return False
 
-    return lambda k: walk(0, 0, k)
+    return lambda k, exact: walk(0, 0, k, exact)
 
 
-def _smallest(g: Graph, kind: ParamKind) -> ParamResult:
-    """Least k with an accepted k-subset, and the first such subset."""
-    chosen: list[int] = []
-    if kind is ParamKind.DOMINATION:
-        walk = _dominating_walk(g, chosen)
-    else:
-        walk = _porous_walk(g, kind is ParamKind.EXPONENTIAL, chosen)
-    k = 0
-    while not walk(k):  # accepted by k = n: the whole vertex set
+def _first(walk, chosen: list[int], kind: ParamKind,
+           k: int = 0) -> ParamResult:
+    """Least k' >= k with an accepted k'-subset, and the first such subset."""
+    while not walk(k):  # accepted by k' = n: the whole vertex set
         k += 1
     return ParamResult(k, tuple(chosen), kind)
 
 
+def _exponential_pair(g: Graph) -> tuple[ParamResult, ParamResult]:
+    """gamma_e and gamma_e_star from one porous walk, its rows built once."""
+    chosen: list[int] = []
+    walk = _porous_walk(g, chosen)
+    star = _first(lambda k: walk(k, False), chosen,
+                  ParamKind.POROUS_EXPONENTIAL)
+    if is_exponential_dominating(g, chosen):
+        return ParamResult(star.value, star.certificate,
+                           ParamKind.EXPONENTIAL), star
+    chosen.clear()
+    return _first(lambda k: walk(k, True), chosen, ParamKind.EXPONENTIAL,
+                  star.value), star
+
+
 def _gamma_value(g: Graph) -> int:
-    return _smallest(g, ParamKind.DOMINATION).value
+    return domination_number(g).value
 
 
 def domination_number(g: Graph) -> ParamResult:
-    return _smallest(g, ParamKind.DOMINATION)
+    chosen: list[int] = []
+    return _first(_dominating_walk(g, chosen), chosen, ParamKind.DOMINATION)
 
 
 def exponential_domination_number(g: Graph) -> ParamResult:
-    return _smallest(g, ParamKind.EXPONENTIAL)
+    return _exponential_pair(g)[0]
 
 
 def porous_exponential_domination_number(g: Graph) -> ParamResult:
-    return _smallest(g, ParamKind.POROUS_EXPONENTIAL)
+    return _exponential_pair(g)[1]
 
 
 def compute_all(g: Graph) -> tuple[ParamResult, ParamResult, ParamResult]:
     """All three parameters, each with its certificate."""
-    return (domination_number(g), exponential_domination_number(g),
-            porous_exponential_domination_number(g))
+    return (domination_number(g), *_exponential_pair(g))
 
 
 def parameter_values(g: Graph) -> tuple[int, int, int]:
     """The three values; the same walks as `compute_all`."""
-    return (_gamma_value(g), exponential_domination_number(g).value,
-            porous_exponential_domination_number(g).value)
+    gamma = _gamma_value(g)
+    gamma_e, gamma_e_star = _exponential_pair(g)
+    return gamma, gamma_e.value, gamma_e_star.value

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -301,6 +300,8 @@ def _warm_params(store: ParamStore, codes: list[bytes], jobs: int) -> None:
     missing = [code.decode("ascii") for code in codes if not store.known(code)]
     if len(missing) < 2:
         return
+    import multiprocessing
+
     # fork where offered, else the platform default, which is listed first;
     # `_params_worker` needs no state inherited from this process
     methods = multiprocessing.get_all_start_methods()

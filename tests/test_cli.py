@@ -472,9 +472,9 @@ class TestUsage:
         assert code == 0
         assert out.startswith("expodom ")
 
-    def test_missing_graph_argument_exit_3(self, capsys):
+    def test_missing_graph_argument_exit_2(self, capsys):
         code, _, err = run(capsys, "params")
-        assert code == 3
+        assert code == 2
         assert "no graph given" in err
 
     @pytest.mark.parametrize("command", [

@@ -21,7 +21,8 @@ from expodom.domination import (
     weight_table,
 )
 from expodom.enumeration import connected_graphs, trees
-from expodom.graphs import Graph, encode_graph6, from_edge_list, relabel
+from expodom.graphs import Graph, decode_graph6, encode_graph6, \
+    from_edge_list, relabel
 from conftest import cycle_graph, path_graph, random_connected_graph, \
     random_graph
 
@@ -234,6 +235,17 @@ def _solved(results) -> list[tuple[int, tuple[int, ...]]]:
     return [(r.value, r.certificate) for r in results]
 
 
+#: Every tree to order 11 with gamma_e > gamma_e_star, so the exact walk
+#: runs past the level where the porous walk stopped.  No connected graph
+#: to order 7 has it.
+PAST_POROUS = ("H?CaC?N", "I??G`@?`w", "I??G`B?@w", "J???GOO?~?_",
+               "J???GOOGEF_", "J???GOOWCF_", "J???GOoo?F_", "J??G`@?_?N_")
+#: The smallest trees whose gamma_e_star certificate, as labeled here, is
+#: not exponential dominating although gamma_e = gamma_e_star: the exact
+#: walk finds a later set at the level where the porous walk stopped.
+REWALKED = ("G?CaC[", "H??G`BF", "H??GbAF")
+
+
 class TestLexWalk:
     """The pruned walk against every k-subset in `combinations` order."""
 
@@ -247,6 +259,8 @@ class TestLexWalk:
         uncapped = [domination_number(g), exponential_domination_number(g),
                     porous_exponential_domination_number(g)]
         assert _solved(uncapped) == reference, encode_graph6(g)
+        assert parameter_values(g) == tuple(k for k, _ in reference), \
+            encode_graph6(g)
 
     def check_relabeled(self, g: Graph, rng: random.Random) -> None:
         # the cuts depend on the vertex order: the canonical one and another
@@ -264,6 +278,28 @@ class TestLexWalk:
         for n in range(1, 11):
             for g in trees(n):
                 self.check_relabeled(g, rng)
+
+    @pytest.mark.parametrize("code", PAST_POROUS + REWALKED)
+    def test_exact_walk_after_porous(self, code, rng):
+        g = decode_graph6(code)
+        gamma_e, gamma_e_star = compute_all(g)[1:]
+        if code in PAST_POROUS:
+            assert gamma_e.value > gamma_e_star.value
+        else:
+            assert gamma_e.value == gamma_e_star.value
+            assert gamma_e.certificate != gamma_e_star.certificate
+        self.check(g)
+        for _ in range(5):
+            order = list(range(g.n))
+            rng.shuffle(order)
+            self.check(relabel(g, order))
+
+    def test_values_match_compute_all(self):
+        for family, top in ((connected_graphs, 7), (trees, 11)):
+            for n in range(1, top + 1):
+                for g in family(n):
+                    assert parameter_values(g) == tuple(
+                        r.value for r in compute_all(g)), encode_graph6(g)
 
     def test_empty_graph(self):
         empty = Graph(0, ())

@@ -40,6 +40,23 @@ def test_package_imports_only_the_stdlib():
                     (path.name, name)
 
 
+def test_cli_import_defers_unused_modules():
+    # a process pays for the worker pool and for exact fractions only when
+    # it warms with --jobs or prints a weight table
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(src)!r})",
+        "import expodom.cli",
+        "print(sorted({'multiprocessing', 'fractions', 'decimal'}"
+        " & set(sys.modules)))",
+    ])
+    done = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
 #: Traced counts of `verify --sweep theorem1 --max-n 6` in a fresh process.
 #: A change that moves one on purpose updates it and says why.
 TRACED_THEOREM1_6 = {
