@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from contextlib import closing, nullcontext
+from functools import cache
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import __version__
@@ -260,7 +261,9 @@ def _add_sweep_options(sub: argparse.ArgumentParser,
                      help="append-only results cache path")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process and then reused."""
     parser = argparse.ArgumentParser(
         prog="expodom",
         description="Exponential domination parameters, obstructions, sweeps.")
@@ -317,9 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

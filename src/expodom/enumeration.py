@@ -10,35 +10,42 @@ neighborhood (delete any non-cut vertex to see this), and every tree arises
 from a tree by attaching a leaf.  Each parent is augmented along one
 neighbourhood mask per orbit of its automorphism group, since masks in one
 orbit give isomorphic children; the group's generators come from the
-parent's own labeling search.  The remaining candidates are deduplicated by
-canonical code, and each level is kept in memory while the next is
-produced.  An unrestricted level's class count is checked against the
-published one (OEIS A001349, A000055) and a mismatch raises
-`CountGateError`.
+parent's own labeling search.  A canonical augmentation filter (`_keeps`)
+then rejects, before any labeling, each candidate whose new vertex is
+beaten by a non-cut vertex with a larger (degree, sorted neighbour degrees)
+invariant; every class still keeps at least one candidate.  The kept
+candidates are deduplicated by canonical code, and each level is kept in
+memory while the next is produced.  An unrestricted level's class count is
+checked against the published one (OEIS A001349, A000055) and a mismatch
+raises `CountGateError`.
 
-Each enumerated level also carries its classes' decks: the codes of the
-parent classes whose augmentations land on the class.  A connected graph's
-parents are exactly the classes of its connected cards G-v, so a sweep
-reads its membership off the decks instead of labeling every card again
-(`hereditary.ParamStore.fill_violators`).  Decks live as long as their
-level does: for the whole process, in `_LEVELS`.
+A connected graph's parents are exactly the classes of its connected cards
+G-v, so a sweep reads its membership off them instead of labeling every
+card again (`hereditary.ParamStore.fill_violators`).  Each enumerated level
+records, per class, the parents of its kept candidates and, per parent, the
+masks the filter rejected.  A member parent never changes a class's
+minimum violator, so a sweep labels the rejected children of nonmember
+parents alone, on request (`Level.rejected_children`), and `enum` labels
+only the kept candidates.  The full decks, every parent of every class, are
+built from the same records on first use (`Level.decks`).  Levels live for
+the whole process, in `_LEVELS`.
 
 Pattern restrictions are hereditary, so a restricted level is grown from
 the restricted level below it, and a child can only hold a pattern through
 its new vertex.  Each parent's `patterns.extension_table` settles all of
 its neighbourhood masks in one pass.  Isomorphic children are blocked
 together, so the blocked masks are whole orbits, and one unblocked mask per
-orbit is augmented and labeled.
+orbit is augmented and filtered.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from functools import cache
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Optional
 
 from .graphs import Graph, SizeCapError, _search, canonical_code, \
-    decode_graph6, is_connected
+    decode_graph6, is_connected, iter_bits
 from .graphs import canonical_graph  # kept for bench/tracer.py to patch
 from . import patterns
 
@@ -78,18 +85,50 @@ LevelSource = Callable[[int], Iterable[tuple[bytes, Graph]]]
 
 
 class Level(list):
-    """An enumerated order: (code, graph) pairs in code order, with decks.
+    """An enumerated order: (code, graph) pairs in code order.
 
-    `decks[i]` lists, once each, the codes of the classes one order down
-    whose augmentations give class i: the classes of its connected cards.
+    `below` is the level one order down, whose classes are the parents.
+    `kept[i]` lists, once each and in code order, the parents whose kept
+    candidates give class i (see `_keeps`).  A parent's rejected candidates
+    are labeled only when asked for, by `rejected_children`, once per level.
+    `decks[i]`, built from both on first use, lists every parent whose
+    augmentations give class i: the classes of its connected cards.
     """
 
-    __slots__ = ("decks",)
+    __slots__ = ("below", "kept", "_rejected", "_labeled", "_decks")
 
     def __init__(self, pairs: Iterable[tuple[bytes, Graph]],
-                 decks: list[list[bytes]]):
+                 below: list[tuple[bytes, Graph]], kept: list[list[bytes]],
+                 rejected: list[int]):
         super().__init__(pairs)
-        self.decks = decks
+        self.below = below
+        self.kept = kept
+        # per parent, its rejected masks as one set: bit m set for mask m
+        self._rejected = rejected
+        self._labeled: dict[int, tuple[bytes, ...]] = {}
+        self._decks: Optional[list[list[bytes]]] = None
+
+    def rejected_children(self, j: int) -> tuple[bytes, ...]:
+        """The codes of the children that parent j's filter rejected."""
+        got = self._labeled.get(j)
+        if got is None:
+            parent = self.below[j][1]
+            got = self._labeled[j] = tuple(
+                canonical_code(_augment(parent, mask))
+                for mask in iter_bits(self._rejected[j]))
+        return got
+
+    @property
+    def decks(self) -> list[list[bytes]]:
+        """Per class, every parent whose augmentations give it, in order."""
+        if self._decks is None:
+            found = {code: set(kept) for (code, _), kept in
+                     zip(self, self.kept)}
+            for j, (pcode, _) in enumerate(self.below):
+                for code in self.rejected_children(j):
+                    found[code].add(pcode)
+            self._decks = [sorted(found[code]) for code, _ in self]
+        return self._decks
 
 
 def levels(mode: StreamMode, free_of: Iterable[str],
@@ -158,11 +197,11 @@ def levels_from_graphs(graphs: Iterable[Graph], max_n: int,
 # Level construction (memoized per mode/restriction)
 # ----------------------------------------------------------------------
 
-#: Every level built in this process, decks included, so later sweeps and
-#: streams reuse them.  Decks are one list per class, not a set: peak RSS
-#: of `verify --sweep conjecture3` (max-n 8) is 29.5-29.8 MB with them and
-#: 29.0-29.1 MB without, and of `enum --n 8` 27.0-27.1 MB against 26.1 MB
-#: (CPython 3.11, x86-64 Linux).
+#: Every level built in this process, with its kept parents and rejected
+#: masks, so later sweeps and streams reuse them.  Peak RSS (CPython 3.11,
+#: x86-64 Linux): 28.8-29.1 MB for `verify --sweep conjecture3` (max-n 8),
+#: 25.8-26.0 MB for `enum --n 8` and 191 MB for `enum --n 9`, against
+#: 28.3-28.4, 25.7-25.9 and 209 MB when every level held its full decks.
 _LEVELS: dict[tuple[StreamMode, frozenset[str], int], Level] = {}
 
 
@@ -175,11 +214,13 @@ def _level_pairs(mode: StreamMode, free_of: frozenset[str],
     if n == 1:
         single = Graph(1, (0,))
         # every catalog pattern has at least 3 vertices, so none filters it
-        level = Level([(canonical_code(single), single)], [[]])
+        level = Level([(canonical_code(single), single)], [], [[]], [])
         _LEVELS[key] = level
         return level
-    decks: dict[bytes, list[bytes]] = {}
-    for pcode, parent in _level_pairs(mode, free_of, n - 1):
+    below = _level_pairs(mode, free_of, n - 1)
+    kept: dict[bytes, list[bytes]] = {}
+    rejected: list[int] = []
+    for pcode, parent in below:
         k = parent.n
         if mode is StreamMode.TREES:
             masks: Iterable[int] = (1 << u for u in range(k))
@@ -188,22 +229,73 @@ def _level_pairs(mode: StreamMode, free_of: frozenset[str],
             masks = range(1, 1 << k)
             reach = k
         blocked = patterns.extension_table(parent, free_of, reach)
+        out = 0
         for mask in _orbit_masks(parent, (m for m in masks
                                           if not blocked >> m & 1)):
-            code = canonical_code(_augment(parent, mask))
-            deck = decks.get(code)
-            if deck is None:
-                decks[code] = [pcode]
-            elif deck[-1] is not pcode:
+            rows = _augmented_rows(parent.adj, mask)
+            if not _keeps(rows):
+                out |= 1 << mask
+                continue
+            code = canonical_code(Graph(n, rows))
+            parents = kept.get(code)
+            if parents is None:
+                kept[code] = [pcode]
+            elif parents[-1] is not pcode:
                 # one parent's masks are consecutive, so this dedups
-                deck.append(pcode)
-    codes = sorted(decks)
-    level = Level([(code, decode_graph6(code)) for code in codes],
-                  [decks[code] for code in codes])
+                parents.append(pcode)
+        rejected.append(out)
+    codes = sorted(kept)
+    level = Level([(code, decode_graph6(code)) for code in codes], below,
+                  [kept[code] for code in codes], rejected)
     if not free_of:
         _check_count(mode, n, len(level))
     _LEVELS[key] = level
     return level
+
+
+def _keeps(rows: tuple[int, ...]) -> bool:
+    """The canonical augmentation filter on a candidate child's rows.
+
+    The candidate's new vertex v is its last.  It is kept unless a non-cut
+    vertex u has a larger invariant (degree, sorted neighbour degrees),
+    compared lexicographically; ties are kept.  Every class C keeps a
+    candidate: take a non-cut vertex w of C with the largest invariant.
+    C-w is connected and, restrictions being hereditary, in the host class,
+    so its class is a parent; the orbit of that parent's masks that gives C
+    back puts the new vertex in w's place (McKay, "Isomorph-free exhaustive
+    generation", J. Algorithms 26, 1998).
+    """
+    v = len(rows) - 1
+    degrees = [row.bit_count() for row in rows]
+    dv = degrees[v]
+    # a tree has v edges, and its non-cut vertices are its leaves
+    tree = sum(degrees) == 2 * v
+    mine = None
+    for u in range(v):
+        du = degrees[u]
+        if du < dv:
+            continue
+        if du == dv:
+            if mine is None:
+                mine = sorted(degrees[w] for w in iter_bits(rows[v]))
+            if sorted(degrees[w] for w in iter_bits(rows[u])) <= mine:
+                continue
+        if du == 1 if tree else not _is_cut(rows, u):
+            return False
+    return True
+
+
+def _is_cut(rows: tuple[int, ...], u: int) -> bool:
+    """Whether deleting u disconnects the connected graph with these rows."""
+    rest = ((1 << len(rows)) - 1) ^ (1 << u)
+    seen = frontier = rest & -rest
+    while frontier:
+        reach = 0
+        for w in iter_bits(frontier):
+            reach |= rows[w]
+        frontier = reach & rest & ~seen
+        seen |= frontier
+    return seen != rest
 
 
 def _orbit_masks(parent: Graph, masks: Iterable[int]) -> Iterator[int]:
@@ -256,12 +348,14 @@ def _check_count(mode: StreamMode, n: int, found: int) -> None:
 
 def _augment(parent: Graph, neighborhood: int) -> Graph:
     """Parent plus one new vertex adjacent to the masked vertices."""
-    k = parent.n
-    new_bit = 1 << k
-    rows = [row | new_bit if (neighborhood >> u) & 1 else row
-            for u, row in enumerate(parent.adj)]
-    rows.append(neighborhood)
-    return Graph(k + 1, tuple(rows))
+    return Graph(parent.n + 1, _augmented_rows(parent.adj, neighborhood))
+
+
+def _augmented_rows(adj: tuple[int, ...],
+                    neighborhood: int) -> tuple[int, ...]:
+    new_bit = 1 << len(adj)
+    return (*(row | new_bit if neighborhood >> u & 1 else row
+              for u, row in enumerate(adj)), neighborhood)
 
 
 def read_graph6_stream(lines: Iterable[str]) -> Iterator[Graph]:

@@ -14,10 +14,12 @@ a tree with a leaf w outside H, and g-w is connected and contains H.  The
 store memoizes, per canonical class, a minimum-order connected induced
 violator (or None), so witnesses come free.
 
-That memo is filled two ways.  A sweep over an enumerated stream gets each
-level's decks, the classes of every class's connected cards, from the
-enumeration, and `ParamStore.fill_violators` takes the minimum over the
-deck's memo entries level by level, labeling nothing.  Every other input
+That memo is filled two ways.  A sweep over an enumerated stream gets, from
+each level, the parents of every class (the classes of its connected
+cards) that can lower its minimum, and `ParamStore.fill_violators` takes
+the minimum over their memo entries level by level: it labels only the
+children the augmentation filter rejected from nonmember parents, and
+recurses over nothing.  Every other input
 (`member`, `in_class`, `is_minimal_forbidden`, the startup gate, `--graphs`
 sources) is not closed under vertex deletion, so `ParamStore.violators`
 recurses over its connected cards and labels each one.
@@ -188,15 +190,25 @@ class ParamStore:
     def fill_violators(self, level: Level) -> None:
         """Memoize `violators` for every class of one enumerated level.
 
-        Each class's pair is the minimum over its deck's memo entries,
-        plus the class itself: no labeling, no recursion.  The level one
-        order down must have been filled first.
+        A class's pair is the minimum over the memo entries of its kept
+        parents and of every nonmember parent that reaches it, plus the
+        class itself.  A member parent would add (None, None), which never
+        lowers a minimum, so only nonmember parents have their rejected
+        children labeled.  The level one order down must have been filled
+        first.
         """
         memo = self._violators
-        for (code, g), deck in zip(level, level.decks):
+        reached: dict[bytes, list] = {}
+        for j, (pcode, _) in enumerate(level.below):
+            pair = memo[pcode]
+            if pair != (None, None):
+                for code in level.rejected_children(j):
+                    reached.setdefault(code, []).append(pair)
+        for (code, g), kept in zip(level, level.kept):
             if code not in memo:
                 memo[code] = self._least_with_self(
-                    g, code, [memo[parent] for parent in deck])
+                    g, code, [memo[parent] for parent in kept]
+                    + reached.get(code, []))
 
     def _least_with_self(self, g: Graph, code: bytes, pairs: list) -> tuple:
         """The least of the cards' `pairs` and g itself, kind by kind."""
@@ -392,8 +404,9 @@ class SweepSpec:
             counts[n] = len(level)
             _warm_params(store, [code for code, _ in level], jobs)
             if isinstance(got, Level):
-                # an enumerated level has decks: every check then finds its
-                # violator pair in the memo and recurses over no card
+                # an enumerated level knows its classes' parents: every
+                # check then finds its violator pair in the memo and
+                # recurses over no card
                 store.fill_violators(got)
             for code, g in level:
                 self.check(g, code, store, found)

@@ -4,7 +4,8 @@ Everything here recomputes answers from first principles: simple-path
 enumeration for constrained distances and weights, subset enumeration for
 domination, raw injections for induced pattern matching, and labeled
 enumeration plus permutation canonicalization for isomorphism-class
-counts.  Slow on purpose, and deliberately free of the package's own
+counts; k-subsets and networkx isomorphism for induced matching on larger
+hosts.  Slow on purpose, and deliberately free of the package's own
 search machinery, apart from the all-masks level builder, which keeps the
 package's labeling and extension tables to check its orbit pruning alone.
 """
@@ -160,6 +161,42 @@ def find_induced_oracle(g: Graph, p: Graph, through: int | None = None):
         if ok:
             return cand
     return None
+
+
+def has_induced_nx_oracle(host, pattern) -> bool:
+    """Whether the networkx graph `pattern` is induced in the networkx graph
+    `host`.  Every k-subset of the host is tried, k the pattern's order;
+    one whose induced degree sequence differs from the pattern's cannot
+    match and is skipped, and `nx.is_isomorphic` decides the others."""
+    import networkx as nx
+
+    want = sorted(d for _, d in pattern.degree())
+    adj = {v: set(host[v]) for v in host}
+    for nodes in combinations(host, len(want)):
+        chosen = set(nodes)
+        if sorted(len(adj[v] & chosen) for v in nodes) == want and \
+                nx.is_isomorphic(host.subgraph(nodes).copy(), pattern):
+            return True
+    return False
+
+
+def augmentation_filter_oracle(parent: Graph, mask: int) -> bool:
+    """Whether the canonical augmentation filter keeps the parent plus a new
+    vertex joined to the masked vertices: no non-cut vertex of the child
+    (networkx's articulation points are the cut ones) has a larger
+    (degree, sorted neighbour degrees) than the new vertex."""
+    import networkx as nx
+
+    new = parent.n
+    child = nx.Graph(list(parent.edges()))
+    child.add_nodes_from(range(new + 1))
+    child.add_edges_from((new, u) for u in range(new) if mask >> u & 1)
+
+    def invariant(v):
+        return child.degree(v), sorted(child.degree(w) for w in child[v])
+
+    cut = set(nx.articulation_points(child))
+    return all(invariant(u) <= invariant(new) for u in child if u not in cut)
 
 
 def min_violators_oracle(g: Graph, params, memo: dict) -> tuple:

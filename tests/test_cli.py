@@ -1,11 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from expodom import enumeration
 from expodom.cache import CACHE_ENV_VAR, ResultsCache
-from expodom.cli import PARAMS_ORDER_CAP, main
+from expodom.cli import PARAMS_ORDER_CAP, build_parser, main
 from expodom.domination import parameter_values
 from expodom.graphs import decode_graph6, encode_graph6
 from conftest import path_graph
@@ -525,3 +529,26 @@ class TestUsage:
     def test_missing_edge_list_file_exit_3(self, capsys):
         code, _, _ = run(capsys, "params", "--edge-list", "/nonexistent/x")
         assert code == 3
+
+    def test_parser_reused_across_calls(self, capsys):
+        # one parser serves every call in a process: a run of calls, with
+        # usage errors after successes and a flag that the next call of the
+        # same subcommand leaves out, answers as the same calls each made
+        # in a fresh process
+        calls = [("params", "A_"), ("verify", "--sweep", "nope"),
+                 ("enum", "--n", "5", "--trees"), ("enum", "--n", "5"),
+                 ("member", "--porous", P7_G6), ("member", P7_G6),
+                 ("enum", "--n", "4", "--format", "count"), ("enum",),
+                 ("match", P7_G6, "--patterns", "P7"), ("match", "A_")]
+        build_parser.cache_clear()
+        together = [run(capsys, *argv) for argv in calls]
+        assert build_parser() is build_parser()
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        for argv, got in zip(calls, together):
+            done = subprocess.run([sys.executable, "-m", "expodom.cli",
+                                   *argv], capture_output=True, text=True,
+                                  env=env)
+            assert got == (done.returncode, done.stdout, done.stderr), argv
+        assert [code for code, _, _ in together] == [0, 2, 0, 0, 0, 0, 0, 2,
+                                                     0, 0]

@@ -1,5 +1,6 @@
 import hashlib
 import io
+from functools import cache
 
 import networkx as nx
 import pytest
@@ -8,6 +9,8 @@ from networkx.algorithms.isomorphism import GraphMatcher
 from expodom import enumeration
 from expodom.enumeration import (
     StreamMode,
+    _augmented_rows,
+    _keeps,
     _orbit_masks,
     connected_graphs,
     levels,
@@ -16,9 +19,11 @@ from expodom.enumeration import (
     trees,
 )
 from expodom.graphs import (
+    Graph,
     Graph6Error,
     SizeCapError,
     canonical_code,
+    decode_graph6,
     encode_graph6,
     is_connected,
     without_vertex,
@@ -28,6 +33,7 @@ from expodom.patterns import (
     RESTRICTION_NAMES,
     TRIANGLE_RESTRICTION_NAMES,
     catalog,
+    extension_table,
     is_free,
     pattern_names,
 )
@@ -39,6 +45,12 @@ CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853,
                           8: 11117}
 TREE_CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23,
                      9: 47, 10: 106, 11: 235, 12: 551}
+
+
+#: `canonical_code` calls of `connected_graphs(7)` on an empty level memo:
+#: the order-1 graph and the candidates the augmentation filter keeps (4,160
+#: with every candidate labeled)
+KEPT_CONNECTED_7 = 1047
 
 
 class TestConnectedStream:
@@ -235,17 +247,38 @@ def _cycles(perm: dict) -> int:
     return cycles
 
 
+#: the enumerated streams the sweeps run on, at the bench depths
+STREAMS = pytest.mark.parametrize("mode, free_of, max_n", [
+    (StreamMode.CONNECTED, (), 7),
+    (StreamMode.CONNECTED, RESTRICTION_NAMES, 8),
+    (StreamMode.TREES, (), 11),
+], ids=["connected", "restricted", "trees"])
+
+
+@cache
+def all_masks_levels(mode: StreamMode, free_of, max_n: int) -> dict:
+    """`oracles.levels_oracle` of one stream, built once per session."""
+    return oracles.levels_oracle(mode is StreamMode.TREES, free_of, max_n)
+
+
+def candidates(mode: StreamMode, free_of, parent):
+    """The masks a level augments the parent along: one per Aut(parent)
+    orbit of the masks its extension table leaves unblocked."""
+    k = parent.n
+    if mode is StreamMode.TREES:
+        masks, reach = [1 << u for u in range(k)], 1
+    else:
+        masks, reach = range(1, 1 << k), k
+    blocked = extension_table(parent, frozenset(free_of), reach)
+    return _orbit_masks(parent, [m for m in masks if not blocked >> m & 1])
+
+
 class TestOrbitPruning:
-    @pytest.mark.parametrize("mode, free_of, max_n", [
-        (StreamMode.CONNECTED, (), 7),
-        (StreamMode.CONNECTED, RESTRICTION_NAMES, 8),
-        (StreamMode.TREES, (), 11),
-    ], ids=["connected", "restricted", "trees"])
+    @STREAMS
     def test_levels_equal_all_masks_oracle(self, mode, free_of, max_n):
         # one mask per orbit reaches the same classes from the same
         # parents: codes and decks equal, in order
-        want = oracles.levels_oracle(mode is StreamMode.TREES, free_of,
-                                     max_n)
+        want = all_masks_levels(mode, free_of, max_n)
         source = levels(mode, free_of, max_n)
         for n in range(1, max_n + 1):
             level = source(n)
@@ -291,6 +324,46 @@ class TestOrbitPruning:
                                   "expected 7 (OEIS A000055)")
         # a restricted level is not gated
         assert len(trees(6, free_of=("P7",))) == 6
+
+
+class TestAugmentationFilter:
+    @STREAMS
+    def test_every_class_keeps_a_candidate(self, mode, free_of, max_n):
+        # the classes of the all-masks levels, each reached from the level
+        # below by a candidate that the filter keeps
+        want = all_masks_levels(mode, free_of, max_n)
+        for n in range(2, max_n + 1):
+            kept = set()
+            for pcode, _ in want[n - 1]:
+                parent = decode_graph6(pcode)
+                for mask in candidates(mode, free_of, parent):
+                    rows = _augmented_rows(parent.adj, mask)
+                    if _keeps(rows):
+                        kept.add(canonical_code(Graph(n, rows)))
+            assert kept == {code for code, _ in want[n]}, n
+
+    @STREAMS
+    def test_filter_matches_networkx_oracle(self, mode, free_of, max_n):
+        source = levels(mode, free_of, max_n)
+        for n in range(1, max_n):
+            for _, parent in source(n):
+                for mask in candidates(mode, free_of, parent):
+                    assert _keeps(_augmented_rows(parent.adj, mask)) == \
+                        oracles.augmentation_filter_oracle(parent, mask), \
+                        (encode_graph6(parent), mask)
+
+    def test_enumeration_labels_only_kept_candidates(self, monkeypatch):
+        labeled = []
+        monkeypatch.setattr(enumeration, "canonical_code",
+                            lambda g: labeled.append(g) or canonical_code(g))
+        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        assert len(connected_graphs(7)) == CONNECTED_CLASS_COUNTS[7]
+        calls = len(labeled)
+        kept = [sum(oracles.augmentation_filter_oracle(parent, mask)
+                    for mask in candidates(StreamMode.CONNECTED, (), parent))
+                for n in range(1, 7) for parent in connected_graphs(n)]
+        # the order-1 graph is labeled too
+        assert calls == 1 + sum(kept) == KEPT_CONNECTED_7
 
 
 class TestDecks:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from expodom import hereditary
+from expodom import enumeration, hereditary
 from expodom.cache import ResultsCache
 from expodom.domination import parameter_values
 from expodom.enumeration import (
@@ -50,7 +50,7 @@ from expodom.patterns import (
     pattern,
 )
 from conftest import cycle_graph, path_graph, random_connected_graph
-from oracles import min_violators_oracle
+from oracles import augmentation_filter_oracle, min_violators_oracle
 
 # canonical graph6 of the seven obstruction classes
 CODES = {
@@ -196,6 +196,13 @@ STREAMS = pytest.mark.parametrize("mode, free_of, max_n", [
 ], ids=["connected7", "restricted8", "trees11"])
 
 
+#: `enumeration.canonical_code` calls of a `conjecture3` sweep to order 7 on
+#: an empty level memo and a fresh store: the order-1 graph, the kept
+#: candidates, and the rejected candidates of the nonmember parents (4,160
+#: with every candidate labeled)
+LABELED_CONJECTURE3_7 = 1062
+
+
 class TestConnectedCardRecursion:
     """The recursion over connected cards, and the sweep's level pass over
     the enumeration's decks, against the all-deletions recursion."""
@@ -229,6 +236,28 @@ class TestConnectedCardRecursion:
             for code, g in source(n):
                 assert fresh.violators(g, code) == reference(g), \
                     encode_graph6(g)
+
+    def test_sweep_labels_kept_and_nonmember_children(self, reference,
+                                                       monkeypatch):
+        # a member parent's rejected candidates are never labeled: its
+        # (None, None) cannot lower a class's minimum
+        labeled = []
+        monkeypatch.setattr(enumeration, "canonical_code",
+                            lambda g: labeled.append(g) or canonical_code(g))
+        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        SWEEPS["conjecture3"].run(7, store=ParamStore())
+        calls = len(labeled)
+        want = 1
+        for n in range(1, 7):
+            for parent in connected_graphs(n):
+                masks = list(enumeration._orbit_masks(parent,
+                                                      range(1, 1 << n)))
+                kept = sum(augmentation_filter_oracle(parent, mask)
+                           for mask in masks)
+                want += kept
+                if reference(parent) != (None, None):
+                    want += len(masks) - kept
+        assert calls == want == LABELED_CONJECTURE3_7
 
     def test_random_labelings(self, reference, rng):
         # a fresh store meets these labelings first, not the canonical ones

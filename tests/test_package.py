@@ -60,10 +60,13 @@ def test_cli_import_defers_unused_modules():
 #: Traced counts of `verify --sweep theorem1 --max-n 6` in a fresh process.
 #: A change that moves one on purpose updates it and says why.
 TRACED_THEOREM1_6 = {
-    # one candidate per Aut(parent) orbit of unblocked masks: 134 -> 74;
-    # the parents' own searches call graphs._search, which is not traced
-    "graphs.canonical.calls": 183,
-    "enumeration.candidates": 74,
+    # one candidate per Aut(parent) orbit of unblocked masks (134 -> 74),
+    # then only those the augmentation filter keeps (74 -> 41, for 40
+    # classes); every parent to order 5 is a member, so the sweep labels no
+    # rejected candidate (183 -> 150).  The parents' own searches call
+    # graphs._search, which is not traced
+    "graphs.canonical.calls": 150,
+    "enumeration.candidates": 41,
     # the restricted levels read per-parent extension tables, which the
     # tracer does not count, and the order-1 level needs no filter: what is
     # left is the sweep's obstruction check on each of its 40 graphs
