@@ -23,6 +23,13 @@ recurses over nothing.  Every other input
 (`member`, `in_class`, `is_minimal_forbidden`, the startup gate, `--graphs`
 sources) is not closed under vertex deletion, so `ParamStore.violators`
 recurses over its connected cards and labels each one.
+
+Both ways end in `ParamStore._least_with_self`, which solves a class only
+when its parents (or cards) leave some kind without a violator.  The
+classes are hereditary, so a graph that contains a smaller violator of
+both kinds is outside both whatever its own parameters are.  `conjecture3`
+still solves every class, since its chain check reads each class's
+values, and `--jobs N` still solves every class of a level in its workers.
 """
 
 from __future__ import annotations
@@ -172,8 +179,9 @@ class ParamStore:
 
         g must be connected and nonempty.  `code`, when given, is its
         canonical code, saving a labeling.  A class not in the memo is
-        solved by recursing over g's connected cards, labeling each; a
-        sweep's classes are already there (`fill_violators`).
+        found by recursing over g's connected cards, labeling each, and g
+        is solved only if they leave a kind open; a sweep's classes are
+        already there (`fill_violators`).
         """
         if code is None:
             code = canonical_code(g)
@@ -194,7 +202,8 @@ class ParamStore:
         parents and of every nonmember parent that reaches it, plus the
         class itself.  A member parent would add (None, None), which never
         lowers a minimum, so only nonmember parents have their rejected
-        children labeled.  The level one order down must have been filled
+        children labeled.  The class itself is solved only when its parents
+        leave a kind open.  The level one order down must have been filled
         first.
         """
         memo = self._violators
@@ -211,12 +220,19 @@ class ParamStore:
                     + reached.get(code, []))
 
     def _least_with_self(self, g: Graph, code: bytes, pairs: list) -> tuple:
-        """The least of the cards' `pairs` and g itself, kind by kind."""
+        """The least of the cards' `pairs` and g itself, kind by kind.
+
+        A card's pair has order below g.n, so it beats g's own (g.n, code).
+        g is solved only when the cards leave some kind undecided; once
+        they decide both, g's values cannot change the result.
+        """
+        least = tuple(map(_least, zip((None, None), *pairs)))
+        if None not in least:
+            return least
         gamma, *values = self.params_for_code(code, g)
-        # g itself, for each kind whose value differs from gamma
-        pairs.append(tuple(None if value == gamma else (g.n, code)
-                           for value in values))
-        return tuple(map(_least, zip(*pairs)))
+        # g itself, for each kind left open whose value differs from gamma
+        return tuple(hit or (None if value == gamma else (g.n, code))
+                     for hit, value in zip(least, values))
 
     def close(self) -> None:
         """Close the results cache's append handle; the store stays usable."""
@@ -303,9 +319,10 @@ def _warm_params(store: ParamStore, codes: list[bytes], jobs: int) -> None:
     """Solve the batch's missing codes in `jobs` worker processes.
 
     Results merge in submission order, so worker count never changes any
-    report.  Serially there is nothing to warm: each class is solved on
-    its first lookup, and membership stays in this process where the memo
-    lives.
+    report.  The workers solve every missing class, also those whose
+    parents would leave them unsolved.  Serially there is nothing to warm:
+    a class is solved on its first lookup, and membership stays in this
+    process where the memo lives.
     """
     if jobs < 2:
         return

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from expodom import enumeration
+from expodom import enumeration, hereditary
 from expodom.cache import CACHE_ENV_VAR, ResultsCache
 from expodom.cli import PARAMS_ORDER_CAP, build_parser, main
 from expodom.domination import parameter_values
@@ -355,6 +355,23 @@ class TestVerify:
         assert code == 0
         text = path.read_text()
         assert "F?LT?\t3\t2\t2" in text
+
+    def test_cache_rerun_solves_nothing(self, capsys, tmp_path, monkeypatch):
+        # a serial sweep writes only the classes it solved; a second run on
+        # that file needs no other class, so it solves nothing
+        solved = []
+        monkeypatch.setattr(hereditary, "parameter_values",
+                            lambda g: solved.append(g) or parameter_values(g))
+        path = tmp_path / "cache.tsv"
+        argv = ("verify", "--sweep", "corollary2", "--max-n", "9",
+                "--cache", str(path))
+        first = run_json(capsys, *argv)
+        assert 0 < len(solved) == len(path.read_text().splitlines())
+        solved.clear()
+        second = run_json(capsys, *argv)
+        assert solved == []
+        del first["elapsed_seconds"], second["elapsed_seconds"]
+        assert first == second
 
     def test_cache_line_with_non_graph6_key_skipped(self, capsys, tmp_path):
         path = tmp_path / "cache.tsv"

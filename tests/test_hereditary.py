@@ -433,11 +433,15 @@ class TestReports:
         assert a.to_json(include_timing=False) == \
             b.to_json(include_timing=False)
 
-    def test_parallel_run_identical(self, store):
-        serial = verify_corollary2(max_n=9, jobs=1, store=store)
-        parallel = verify_corollary2(max_n=9, jobs=2, store=ParamStore())
+    def test_parallel_run_identical(self):
+        # the workers solve every class of a level, the serial run only the
+        # undecided ones: reports and violator memos must still agree
+        serial_store, parallel_store = ParamStore(), ParamStore()
+        serial = verify_corollary2(max_n=9, jobs=1, store=serial_store)
+        parallel = verify_corollary2(max_n=9, jobs=2, store=parallel_store)
         assert serial.to_json(include_timing=False) == \
             parallel.to_json(include_timing=False)
+        assert serial_store._violators == parallel_store._violators
 
     def test_parallel_run_without_fork(self):
         # where fork is not offered, workers start the platform's default way
@@ -531,6 +535,56 @@ class TestExternalSource:
         graphs = list(connected_graphs(6))
         source = levels_from_graphs(graphs, 6, free_of=OBSTRUCTION_NAMES)
         assert len(source(6)) == 111
+
+
+#: `hereditary.parameter_values` calls of a serial `verify_corollary2(11)` on
+#: a fresh store, the startup gate's included: a class is solved only when
+#: its parents leave a kind undecided (449 when every class was solved)
+SOLVED_COROLLARY2_11 = 73
+
+
+class TestUndecidedClassesOnly:
+    """`ParamStore` solves a class only when its cards leave a kind open."""
+
+    @pytest.mark.parametrize("card_vals, own_vals, card_slot", [
+        # chain-valid: P3 a porous violator only, P4 an exponential one
+        ((2, 2, 1), (3, 2, 2), 1),
+        # against the chain: P3 an exponential violator only, P4 a porous one
+        ((2, 1, 2), (3, 3, 2), 0),
+    ], ids=["porous_card", "exponential_card"])
+    @pytest.mark.parametrize("through", ["cards", "levels"])
+    def test_open_kind_solves_the_class(self, card_vals, own_vals, card_slot,
+                                        through):
+        # seeded values, true of neither graph: P4's only connected cards
+        # are P3, which decides one kind, so P4 must still be solved for
+        # the other
+        fresh = ParamStore()
+        p3, p4 = path_graph(3), path_graph(4)
+        code3, code4 = canonical_code(p3), canonical_code(p4)
+        fresh.store(code3, card_vals)
+        fresh.store(code4, own_vals)
+        if through == "levels":
+            source = levels(StreamMode.TREES, (), 4)
+            for n in range(1, 5):
+                fresh.fill_violators(source(n))
+        want = [(4, code4), (4, code4)]
+        want[card_slot] = (3, code3)
+        assert fresh.violators(p4) == tuple(want)
+
+    def test_sweep_solves_only_undecided_classes(self, monkeypatch):
+        solved = []
+        monkeypatch.setattr(hereditary, "parameter_values",
+                            lambda g: solved.append(g) or parameter_values(g))
+        fresh = ParamStore()
+        assert verify_corollary2(max_n=11, store=fresh).verified
+        assert len(solved) == SOLVED_COROLLARY2_11
+        source = levels(StreamMode.TREES, (), 11)
+        for n in range(1, 12):
+            for code, g in source(n):
+                # unsolved exactly when both kinds have a smaller violator
+                decided = all(hit is not None and hit[0] < n
+                              for hit in fresh.violators(g, code))
+                assert fresh.known(code) != decided, code
 
 
 class TestParamStore:
