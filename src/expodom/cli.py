@@ -202,8 +202,7 @@ def cmd_verify(args) -> int:
         if args.graphs:
             source = levels_from_graphs(_graphs(args.graphs), max_n,
                                         spec.restriction, spec.stream)
-        report = _SWEEPS[args.sweep](max_n=max_n, jobs=args.jobs, store=store,
-                                     source=source)
+        report = _SWEEPS[args.sweep](max_n=max_n, store=store, source=source)
     print(report.to_json())
     return 0 if report.verified else 1
 
@@ -213,7 +212,7 @@ def cmd_minimal(args) -> int:
     kind = ClassKind.POROUS if args.porous else ClassKind.EXPONENTIAL
     spec = minimal_spec(kind, free)
     with closing(_make_store(args)) as store:
-        report = spec.run(args.max_n, jobs=args.jobs, store=store)
+        report = spec.run(args.max_n, store=store)
     found = report.extras["found"]
     if args.format == "json":
         print(report.to_json())
@@ -231,17 +230,6 @@ def cmd_minimal(args) -> int:
     return 0
 
 
-def _jobs(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _add_graph_input(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("graph", nargs="?",
                      help="graph6 string, or '-' to read one from stdin")
@@ -255,8 +243,6 @@ def _add_sweep_options(sub: argparse.ArgumentParser,
                        max_n_default: str) -> None:
     sub.add_argument("--max-n", type=int, default=None,
                      help=f"largest order to scan ({max_n_default})")
-    sub.add_argument("--jobs", type=_jobs, default=1,
-                     help="parallel solver processes")
     sub.add_argument("--cache", metavar="FILE",
                      help="append-only results cache path")
 

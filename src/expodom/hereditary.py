@@ -29,7 +29,7 @@ when its parents (or cards) leave some kind without a violator.  The
 classes are hereditary, so a graph that contains a smaller violator of
 both kinds is outside both whatever its own parameters are.  `conjecture3`
 still solves every class, since its chain check reads each class's
-values, and `--jobs N` still solves every class of a level in its workers.
+values.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .graphs import (
     canonical_code,
     canonical_graph,  # kept for bench/tracer.py to patch
     connected_components,
-    decode_graph6,
     induced_subgraph,
     is_connected,
     without_vertex,
@@ -311,37 +310,6 @@ def is_minimal_forbidden(g: Graph, kind: ClassKind = ClassKind.EXPONENTIAL,
 # Sweeps
 # ----------------------------------------------------------------------
 
-def _params_worker(g6: str) -> tuple[str, tuple[int, int, int]]:
-    return g6, parameter_values(decode_graph6(g6))
-
-
-def _warm_params(store: ParamStore, codes: list[bytes], jobs: int) -> None:
-    """Solve the batch's missing codes in `jobs` worker processes.
-
-    Results merge in submission order, so worker count never changes any
-    report.  The workers solve every missing class, also those whose
-    parents would leave them unsolved.  Serially there is nothing to warm:
-    a class is solved on its first lookup, and membership stays in this
-    process where the memo lives.
-    """
-    if jobs < 2:
-        return
-    missing = [code.decode("ascii") for code in codes if not store.known(code)]
-    if len(missing) < 2:
-        return
-    import multiprocessing
-
-    # fork where offered, else the platform default, which is listed first;
-    # `_params_worker` needs no state inherited from this process
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods
-                                      else methods[0])
-    with ctx.Pool(jobs) as pool:
-        results = pool.map(_params_worker, missing, chunksize=64)
-    for g6, vals in results:
-        store.store(g6.encode("ascii"), vals)
-
-
 def _obstruction_self_check(store: ParamStore) -> None:
     """Startup gate for every sweep: the obstruction catalog must be sane.
 
@@ -396,7 +364,7 @@ class SweepSpec:
     config: dict = field(default_factory=dict)
     extras: dict[str, tuple] = field(default_factory=dict)
 
-    def run(self, max_n: Optional[int] = None, jobs: int = 1,
+    def run(self, max_n: Optional[int] = None,
             store: Optional[ParamStore] = None,
             source: Optional[LevelSource] = None) -> VerificationReport:
         """Check every graph of the stream (or of `source`) up to max_n."""
@@ -414,12 +382,11 @@ class SweepSpec:
         counts: dict[int, int] = {}
         found: dict[str, list] = {name: [] for name in self.lists}
         for n in range(1, max_n + 1):
-            # the source's canonical codes serve the warm-up, the store and
-            # the membership memo, so no scanned graph is labeled again
+            # the source's canonical codes serve the store and the
+            # membership memo, so no scanned graph is labeled again
             got = source(n)
             level = list(got)
             counts[n] = len(level)
-            _warm_params(store, [code for code, _ in level], jobs)
             if isinstance(got, Level):
                 # an enumerated level knows its classes' parents: every
                 # check then finds its violator pair in the memo and
@@ -524,9 +491,9 @@ def minimal_spec(kind: ClassKind = ClassKind.EXPONENTIAL,
 
 
 def find_minimal_forbidden(max_n: int, kind: ClassKind = ClassKind.EXPONENTIAL,
-                           restriction: Iterable[str] = (), jobs: int = 1,
+                           restriction: Iterable[str] = (),
                            store: Optional[ParamStore] = None,
                            source: Optional[LevelSource] = None
                            ) -> VerificationReport:
     """All minimal forbidden graphs up to max_n, with their parameters."""
-    return minimal_spec(kind, restriction).run(max_n, jobs, store, source)
+    return minimal_spec(kind, restriction).run(max_n, store, source)

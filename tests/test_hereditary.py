@@ -1,9 +1,6 @@
 import hashlib
 import itertools
 import json
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -432,38 +429,6 @@ class TestReports:
         b = verify_corollary2(max_n=8, store=store)
         assert a.to_json(include_timing=False) == \
             b.to_json(include_timing=False)
-
-    def test_parallel_run_identical(self):
-        # the workers solve every class of a level, the serial run only the
-        # undecided ones: reports and violator memos must still agree
-        serial_store, parallel_store = ParamStore(), ParamStore()
-        serial = verify_corollary2(max_n=9, jobs=1, store=serial_store)
-        parallel = verify_corollary2(max_n=9, jobs=2, store=parallel_store)
-        assert serial.to_json(include_timing=False) == \
-            parallel.to_json(include_timing=False)
-        assert serial_store._violators == parallel_store._violators
-
-    def test_parallel_run_without_fork(self):
-        # where fork is not offered, workers start the platform's default way
-        src = Path(__file__).resolve().parent.parent / "src"
-        script = "\n".join([
-            "import multiprocessing, sys",
-            f"sys.path.insert(0, {str(src)!r})",
-            "multiprocessing.get_all_start_methods = lambda: ['spawn']",
-            "asked = []",
-            "get_context = multiprocessing.get_context",
-            "multiprocessing.get_context = "
-            "lambda method=None: asked.append(method) or get_context(method)",
-            "from expodom.hereditary import ParamStore, verify_corollary2",
-            "serial = verify_corollary2(max_n=8, store=ParamStore())",
-            "parallel = verify_corollary2(max_n=8, jobs=2, store=ParamStore())",
-            "assert set(asked) == {'spawn'}, asked",
-            "assert serial.to_json(include_timing=False) == "
-            "parallel.to_json(include_timing=False)",
-        ])
-        done = subprocess.run([sys.executable, "-c", script],
-                              capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
 
     def test_config_hash_depends_on_inputs(self, store):
         a = verify_corollary2(max_n=7, store=store)

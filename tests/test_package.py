@@ -38,11 +38,14 @@ def test_package_imports_only_the_stdlib():
                 top = name.partition(".")[0]
                 assert top in sys.stdlib_module_names or top == "expodom", \
                     (path.name, name)
+                # one process: no worker pool or executor, not even locally
+                assert top not in {"multiprocessing", "concurrent"}, \
+                    (path.name, name)
 
 
 def test_cli_import_defers_unused_modules():
-    # a process pays for the worker pool and for exact fractions only when
-    # it warms with --jobs or prints a weight table
+    # a process pays for exact fractions only when it prints a weight
+    # table, and nothing imports a worker pool
     src = Path(__file__).resolve().parent.parent / "src"
     script = "\n".join([
         "import sys",
