@@ -510,6 +510,18 @@ class TestUsage:
         assert "unrecognized arguments: --jobs 2" in err
 
     @pytest.mark.parametrize("command", [
+        ("verify", "--sweep", "corollary2", "--max-n", "4"),
+        ("minimal", "--max-n", "4"),
+    ])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, capsys, command, jobs):
+        # a worker count below one is refused like any other --jobs value
+        code, out, err = run(capsys, *command, "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: --jobs {jobs}" in err
+
+    @pytest.mark.parametrize("command", [
         ("verify", "--sweep", "theorem1"),
         ("verify", "--sweep", "theorem1", "--graphs", "GRAPHS"),
         ("minimal", "--format", "csv"),
