@@ -63,7 +63,7 @@ from .enumeration import (
     read_graph6_stream,
     trees,
 )
-from .cache import CACHE_ENV_VAR, CacheRecord, ResultsCache, cache_from_environment
+from .cache import CacheRecord, ResultsCache
 from .hereditary import (
     ClassKind,
     DEFAULT_MAX_N,

@@ -16,9 +16,6 @@ from typing import IO, Iterable, Optional
 
 from .graphs import graph6_bit_stream
 
-#: Environment variable naming the default cache file.
-CACHE_ENV_VAR = "EXPODOM_CACHE"
-
 
 @dataclass(frozen=True)
 class CacheRecord:
@@ -97,9 +94,4 @@ class ResultsCache:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-
-def cache_from_environment() -> Optional[ResultsCache]:
-    path = os.environ.get(CACHE_ENV_VAR)
-    return ResultsCache(path) if path else None
 

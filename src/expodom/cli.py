@@ -15,7 +15,7 @@ from functools import cache
 from typing import Callable, Iterable, Iterator, Optional
 
 from . import __version__
-from .cache import ResultsCache, cache_from_environment
+from .cache import ResultsCache
 from .domination import compute_all, porous_weight_table, weight_table
 from .enumeration import CountGateError, connected_graphs, \
     levels_from_graphs, read_graph6_stream, trees
@@ -188,10 +188,7 @@ def cmd_enum(args) -> int:
 
 
 def _make_store(args) -> ParamStore:
-    if args.cache:
-        return ParamStore(ResultsCache(args.cache))
-    env_cache = cache_from_environment()
-    return ParamStore(env_cache) if env_cache is not None else ParamStore()
+    return ParamStore(ResultsCache(args.cache) if args.cache else None)
 
 
 def cmd_verify(args) -> int:

@@ -22,13 +22,12 @@ raises `CountGateError`.
 A connected graph's parents are exactly the classes of its connected cards
 G-v, so a sweep reads its membership off them instead of labeling every
 card again (`hereditary.ParamStore.fill_violators`).  Each enumerated level
-records, per class, the parents of its kept candidates and, per parent, the
-masks the filter rejected.  A member parent never changes a class's
-minimum violator, so a sweep labels the rejected children of nonmember
-parents alone, on request (`Level.rejected_children`), and `enum` labels
-only the kept candidates.  The full decks, every parent of every class, are
-built from the same records on first use (`Level.decks`).  Levels live for
-the whole process, in `_LEVELS`.
+keeps one record per parent: the codes of its kept candidates and the set
+of masks the filter rejected.  `Level.children(j)` gives parent j's child
+classes, labeling its rejected masks on the first call only, so `enum`
+labels only the kept candidates and a sweep labels the rejected children
+of the parents it asks about.  Levels live for the whole process, in
+`_LEVELS`.
 
 Pattern restrictions are hereditary, so a restricted level is grown from
 the restricted level below it, and a child can only hold a pattern through
@@ -42,7 +41,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cache
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator
 
 from .graphs import Graph, SizeCapError, _search, canonical_code, \
     decode_graph6, is_connected, iter_bits
@@ -88,47 +87,43 @@ class Level(list):
     """An enumerated order: (code, graph) pairs in code order.
 
     `below` is the level one order down, whose classes are the parents.
-    `kept[i]` lists, once each and in code order, the parents whose kept
-    candidates give class i (see `_keeps`).  A parent's rejected candidates
-    are labeled only when asked for, by `rejected_children`, once per level.
-    `decks[i]`, built from both on first use, lists every parent whose
-    augmentations give class i: the classes of its connected cards.
+    `children(j)` gives the classes of parent j's connected one-vertex
+    extensions in the host class; `decks` inverts it.
     """
 
-    __slots__ = ("below", "kept", "_rejected", "_labeled", "_decks")
+    __slots__ = ("below", "_records")
 
     def __init__(self, pairs: Iterable[tuple[bytes, Graph]],
-                 below: list[tuple[bytes, Graph]], kept: list[list[bytes]],
-                 rejected: list[int]):
+                 below: list[tuple[bytes, Graph]],
+                 records: list[tuple[tuple[bytes, ...], int]]):
         super().__init__(pairs)
         self.below = below
-        self.kept = kept
-        # per parent, its rejected masks as one set: bit m set for mask m
-        self._rejected = rejected
-        self._labeled: dict[int, tuple[bytes, ...]] = {}
-        self._decks: Optional[list[list[bytes]]] = None
+        # per parent: the codes of its kept candidates, and its rejected
+        # masks as one set, bit m set for mask m
+        self._records = records
 
-    def rejected_children(self, j: int) -> tuple[bytes, ...]:
-        """The codes of the children that parent j's filter rejected."""
-        got = self._labeled.get(j)
-        if got is None:
+    def children(self, j: int) -> tuple[bytes, ...]:
+        """The codes of parent j's children, each class at least once.
+
+        The first call labels the rejected masks and moves their codes
+        into the record, so later calls label nothing.
+        """
+        codes, rejected = self._records[j]
+        if rejected:
             parent = self.below[j][1]
-            got = self._labeled[j] = tuple(
-                canonical_code(_augment(parent, mask))
-                for mask in iter_bits(self._rejected[j]))
-        return got
+            codes += tuple(canonical_code(_augment(parent, mask))
+                           for mask in iter_bits(rejected))
+            self._records[j] = (codes, 0)
+        return codes
 
     @property
     def decks(self) -> list[list[bytes]]:
         """Per class, every parent whose augmentations give it, in order."""
-        if self._decks is None:
-            found = {code: set(kept) for (code, _), kept in
-                     zip(self, self.kept)}
-            for j, (pcode, _) in enumerate(self.below):
-                for code in self.rejected_children(j):
-                    found[code].add(pcode)
-            self._decks = [sorted(found[code]) for code, _ in self]
-        return self._decks
+        found: dict[bytes, set[bytes]] = {code: set() for code, _ in self}
+        for j, (pcode, _) in enumerate(self.below):
+            for code in self.children(j):
+                found[code].add(pcode)
+        return [sorted(found[code]) for code, _ in self]
 
 
 def levels(mode: StreamMode, free_of: Iterable[str],
@@ -197,11 +192,13 @@ def levels_from_graphs(graphs: Iterable[Graph], max_n: int,
 # Level construction (memoized per mode/restriction)
 # ----------------------------------------------------------------------
 
-#: Every level built in this process, with its kept parents and rejected
-#: masks, so later sweeps and streams reuse them.  Peak RSS (CPython 3.11,
-#: x86-64 Linux): 28.8-29.1 MB for `verify --sweep conjecture3` (max-n 8),
-#: 25.8-26.0 MB for `enum --n 8` and 191 MB for `enum --n 9`, against
-#: 28.3-28.4, 25.7-25.9 and 209 MB when every level held its full decks.
+#: Every level built in this process, with its parent records, so later
+#: sweeps and streams reuse them.  Each level holds the one below through
+#: `below`, so this memo does not raise the peak; the records do.  Peak
+#: RSS (CPython 3.11, x86-64 Linux): 27.5-27.6 MB for `verify --sweep
+#: conjecture3` (max-n 8), 24.1 MB for `enum --n 8` and 161 MB for `enum
+#: --n 9`, against 28.6-28.7, 25.8-25.9 and 191 MB with kept parents per
+#: class and rejected masks per parent.
 _LEVELS: dict[tuple[StreamMode, frozenset[str], int], Level] = {}
 
 
@@ -214,13 +211,13 @@ def _level_pairs(mode: StreamMode, free_of: frozenset[str],
     if n == 1:
         single = Graph(1, (0,))
         # every catalog pattern has at least 3 vertices, so none filters it
-        level = Level([(canonical_code(single), single)], [], [[]], [])
+        level = Level([(canonical_code(single), single)], [], [])
         _LEVELS[key] = level
         return level
     below = _level_pairs(mode, free_of, n - 1)
-    kept: dict[bytes, list[bytes]] = {}
-    rejected: list[int] = []
-    for pcode, parent in below:
+    classes: dict[bytes, bytes] = {}
+    records: list[tuple[tuple[bytes, ...], int]] = []
+    for _, parent in below:
         k = parent.n
         if mode is StreamMode.TREES:
             masks: Iterable[int] = (1 << u for u in range(k))
@@ -229,24 +226,22 @@ def _level_pairs(mode: StreamMode, free_of: frozenset[str],
             masks = range(1, 1 << k)
             reach = k
         blocked = patterns.extension_table(parent, free_of, reach)
-        out = 0
+        kept = []
+        rejected = 0
         for mask in _orbit_masks(parent, (m for m in masks
                                           if not blocked >> m & 1)):
             rows = _augmented_rows(parent.adj, mask)
-            if not _keeps(rows):
-                out |= 1 << mask
-                continue
-            code = canonical_code(Graph(n, rows))
-            parents = kept.get(code)
-            if parents is None:
-                kept[code] = [pcode]
-            elif parents[-1] is not pcode:
-                # one parent's masks are consecutive, so this dedups
-                parents.append(pcode)
-        rejected.append(out)
-    codes = sorted(kept)
+            if _keeps(rows):
+                code = canonical_code(Graph(n, rows))
+                # one bytes object per class, however often it is reached
+                kept.append(classes.setdefault(code, code))
+            else:
+                rejected |= 1 << mask
+        records.append((tuple(kept), rejected))
+    codes = sorted(classes)
+    del classes  # freed before the graphs are decoded, to lower the peak
     level = Level([(code, decode_graph6(code)) for code in codes], below,
-                  [kept[code] for code in codes], rejected)
+                  records)
     if not free_of:
         _check_count(mode, n, len(level))
     _LEVELS[key] = level

@@ -14,12 +14,13 @@ a tree with a leaf w outside H, and g-w is connected and contains H.  The
 store memoizes, per canonical class, a minimum-order connected induced
 violator (or None), so witnesses come free.
 
-That memo is filled two ways.  A sweep over an enumerated stream gets, from
-each level, the parents of every class (the classes of its connected
-cards) that can lower its minimum, and `ParamStore.fill_violators` takes
-the minimum over their memo entries level by level: it labels only the
-children the augmentation filter rejected from nonmember parents, and
-recurses over nothing.  Every other input
+That memo is filled two ways.  A sweep over an enumerated stream asks
+each level for the children of its nonmember parents (`Level.children`;
+a parent's children are the classes whose connected cards include it),
+and `ParamStore.fill_violators` takes, per class, the minimum over the
+memo entries of the parents that reach it.  Member parents cannot lower a
+minimum, so their rejected candidates are never labeled, and nothing is
+recursed over.  Every other input
 (`member`, `in_class`, `is_minimal_forbidden`, the startup gate, `--graphs`
 sources) is not closed under vertex deletion, so `ParamStore.violators`
 recurses over its connected cards and labels each one.
@@ -197,26 +198,24 @@ class ParamStore:
     def fill_violators(self, level: Level) -> None:
         """Memoize `violators` for every class of one enumerated level.
 
-        A class's pair is the minimum over the memo entries of its kept
-        parents and of every nonmember parent that reaches it, plus the
-        class itself.  A member parent would add (None, None), which never
-        lowers a minimum, so only nonmember parents have their rejected
-        children labeled.  The class itself is solved only when its parents
-        leave a kind open.  The level one order down must have been filled
-        first.
+        A class's pair is the minimum over the memo entries of the
+        nonmember parents among whose children it is, plus the class
+        itself.  A member parent would add (None, None), which never lowers
+        a minimum, so only nonmember parents are asked for their children.
+        The class itself is solved only when its parents leave a kind
+        open.  The level one order down must have been filled first.
         """
         memo = self._violators
         reached: dict[bytes, list] = {}
         for j, (pcode, _) in enumerate(level.below):
             pair = memo[pcode]
             if pair != (None, None):
-                for code in level.rejected_children(j):
+                for code in level.children(j):
                     reached.setdefault(code, []).append(pair)
-        for (code, g), kept in zip(level, level.kept):
+        for code, g in level:
             if code not in memo:
-                memo[code] = self._least_with_self(
-                    g, code, [memo[parent] for parent in kept]
-                    + reached.get(code, []))
+                memo[code] = self._least_with_self(g, code,
+                                                   reached.get(code, []))
 
     def _least_with_self(self, g: Graph, code: bytes, pairs: list) -> tuple:
         """The least of the cards' `pairs` and g itself, kind by kind.

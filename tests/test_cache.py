@@ -1,11 +1,6 @@
 import pytest
 
-from expodom.cache import (
-    CACHE_ENV_VAR,
-    CacheRecord,
-    ResultsCache,
-    cache_from_environment,
-)
+from expodom.cache import CacheRecord, ResultsCache
 
 
 class TestCacheRecord:
@@ -90,15 +85,3 @@ class TestResultsCache:
         cache.close()
         assert path.exists()
 
-
-class TestEnvironment:
-    def test_env_var_selects_cache(self, tmp_path, monkeypatch):
-        path = str(tmp_path / "env.tsv")
-        monkeypatch.setenv(CACHE_ENV_VAR, path)
-        cache = cache_from_environment()
-        assert cache is not None
-        assert cache.path == path
-
-    def test_unset_means_no_cache(self, monkeypatch):
-        monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
-        assert cache_from_environment() is None

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from expodom import enumeration, hereditary
-from expodom.cache import CACHE_ENV_VAR, ResultsCache
+from expodom.cache import ResultsCache
 from expodom.cli import PARAMS_ORDER_CAP, build_parser, main
 from expodom.domination import parameter_values
 from expodom.graphs import decode_graph6, encode_graph6
@@ -439,12 +439,20 @@ class TestVerify:
                        f"{counts[n - 1] + 1} (OEIS {sequence})\n")
 
     def test_cache_env_var(self, capsys, tmp_path, monkeypatch):
-        path = tmp_path / "env-cache.tsv"
-        monkeypatch.setenv(CACHE_ENV_VAR, str(path))
-        code, _, _ = run(capsys, "verify", "--sweep", "corollary2",
-                         "--max-n", "5")
+        # the cache file is named by --cache alone; the old variable is
+        # ignored
+        argv = ("verify", "--sweep", "corollary2", "--max-n", "5")
+        code, plain, _ = run(capsys, *argv)
         assert code == 0
-        assert path.exists()
+        path = tmp_path / "env-cache.tsv"
+        monkeypatch.setenv("EXPODOM_CACHE", str(path))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert not path.exists()
+        got, want = json.loads(out), json.loads(plain)
+        got.pop("elapsed_seconds")
+        want.pop("elapsed_seconds")
+        assert got == want
 
     def test_unknown_sweep_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--sweep", "theorem9")

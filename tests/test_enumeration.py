@@ -366,12 +366,12 @@ class TestAugmentationFilter:
         assert calls == 1 + sum(kept) == KEPT_CONNECTED_7
 
 
+@pytest.mark.parametrize("mode, free_of, max_n", [
+    (StreamMode.CONNECTED, (), 6),
+    (StreamMode.CONNECTED, RESTRICTION_NAMES, 7),
+    (StreamMode.TREES, (), 9),
+], ids=["connected", "restricted", "trees"])
 class TestDecks:
-    @pytest.mark.parametrize("mode, free_of, max_n", [
-        (StreamMode.CONNECTED, (), 6),
-        (StreamMode.CONNECTED, RESTRICTION_NAMES, 7),
-        (StreamMode.TREES, (), 9),
-    ], ids=["connected", "restricted", "trees"])
     def test_deck_is_the_connected_cards(self, mode, free_of, max_n):
         # each parent once, and exactly the classes of the connected cards
         source = levels(mode, free_of, max_n)
@@ -384,6 +384,38 @@ class TestDecks:
                          if card.n and is_connected(card)}
                 assert len(deck) == len(set(deck))
                 assert set(deck) == cards, encode_graph6(g)
+
+    def test_children_are_every_extension(self, monkeypatch, mode, free_of,
+                                          max_n):
+        # every mask (every leaf mask for trees), no orbit pruning and no
+        # filter: the classes of the children free of the restriction
+        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        source = levels(mode, free_of, max_n)
+        built = [source(n) for n in range(1, max_n + 1)]
+        labeled = []
+        monkeypatch.setattr(enumeration, "canonical_code",
+                            lambda g: labeled.append(g) or canonical_code(g))
+        for level in built[1:]:
+            for j, (_, parent) in enumerate(level.below):
+                k = parent.n
+                masks = ([1 << u for u in range(k)]
+                         if mode is StreamMode.TREES else range(1, 1 << k))
+                want = set()
+                for mask in masks:
+                    child = Graph(k + 1, _augmented_rows(parent.adj, mask))
+                    if is_free(child, free_of):
+                        want.add(canonical_code(child))
+                before = len(labeled)
+                assert set(level.children(j)) == want, encode_graph6(parent)
+                # the first call labels each rejected candidate once
+                assert len(labeled) - before == sum(
+                    not _keeps(_augmented_rows(parent.adj, mask))
+                    for mask in candidates(mode, free_of, parent))
+        labeled.clear()
+        for level in built[1:]:
+            for j in range(len(level.below)):
+                level.children(j)
+        assert labeled == []
 
 
 class TestGraph6Stream:
