@@ -43,8 +43,8 @@ from enum import Enum
 from functools import cache
 from typing import Callable, Iterable, Iterator
 
-from .graphs import Graph, SizeCapError, _search, canonical_code, \
-    decode_graph6, is_connected, iter_bits
+from .graphs import Graph, SizeCapError, _is_cut, _search, \
+    canonical_code, decode_graph6, is_connected, iter_bits
 from .graphs import canonical_graph  # kept for bench/tracer.py to patch
 from . import patterns
 
@@ -278,19 +278,6 @@ def _keeps(rows: tuple[int, ...]) -> bool:
         if du == 1 if tree else not _is_cut(rows, u):
             return False
     return True
-
-
-def _is_cut(rows: tuple[int, ...], u: int) -> bool:
-    """Whether deleting u disconnects the connected graph with these rows."""
-    rest = ((1 << len(rows)) - 1) ^ (1 << u)
-    seen = frontier = rest & -rest
-    while frontier:
-        reach = 0
-        for w in iter_bits(frontier):
-            reach |= rows[w]
-        frontier = reach & rest & ~seen
-        seen |= frontier
-    return seen != rest
 
 
 def _orbit_masks(parent: Graph, masks: Iterable[int]) -> Iterator[int]:

@@ -194,26 +194,38 @@ def set_distance(g: Graph, xs: int | Iterable[int], ys: int | Iterable[int]):
     return best
 
 
+def _reach(adj: tuple[int, ...], start: int, allowed: int) -> int:
+    """Mask of the vertices reached from `start` by walks inside `allowed`."""
+    seen = frontier = start
+    while frontier:
+        nxt = 0
+        for v in iter_bits(frontier):
+            nxt |= adj[v]
+        frontier = nxt & allowed & ~seen
+        seen |= frontier
+    return seen
+
+
 def connected_components(g: Graph) -> list[int]:
     """Vertex masks of the components, ordered by least member."""
     comps = []
     todo = g.vertex_mask
     while todo:
-        start = todo & -todo
-        levels = bfs_levels(g, start, todo)
-        comp = 0
-        for v, d in enumerate(levels):
-            if d >= 0:
-                comp |= 1 << v
+        comp = _reach(g.adj, todo & -todo, todo)
         comps.append(comp)
-        todo &= ~comp
+        todo ^= comp
     return comps
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return len(connected_components(g)) == 1
+    full = g.vertex_mask
+    return g.n == 0 or _reach(g.adj, 1, full) == full
+
+
+def _is_cut(adj: tuple[int, ...], u: int) -> bool:
+    """Whether deleting u disconnects the connected graph with these rows."""
+    rest = ((1 << len(adj)) - 1) ^ (1 << u)
+    return _reach(adj, rest & -rest, rest) != rest
 
 
 def girth(g: Graph):

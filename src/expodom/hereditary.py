@@ -23,7 +23,8 @@ minimum, so their rejected candidates are never labeled, and nothing is
 recursed over.  Every other input
 (`member`, `in_class`, `is_minimal_forbidden`, the startup gate, `--graphs`
 sources) is not closed under vertex deletion, so `ParamStore.violators`
-recurses over its connected cards and labels each one.
+recurses over its connected cards and labels each one.  Cut vertices are
+found on g's rows (`graphs._is_cut`), so no disconnected card is built.
 
 Both ways end in `ParamStore._least_with_self`, which solves a class only
 when its parents (or cards) leave some kind without a violator.  The
@@ -49,6 +50,7 @@ from .enumeration import Level, LevelSource, StreamMode, levels
 from .graphs import (
     Graph,
     SizeCapError,
+    _is_cut,
     canonical_code,
     canonical_graph,  # kept for bench/tracer.py to patch
     connected_components,
@@ -179,19 +181,18 @@ class ParamStore:
 
         g must be connected and nonempty.  `code`, when given, is its
         canonical code, saving a labeling.  A class not in the memo is
-        found by recursing over g's connected cards, labeling each, and g
-        is solved only if they leave a kind open; a sweep's classes are
-        already there (`fill_violators`).
+        found by recursing over g's connected cards, labeling each (a cut
+        vertex's card is never built), and g is solved only if they leave
+        a kind open; a sweep's classes are already there (`fill_violators`).
         """
         if code is None:
             code = canonical_code(g)
         got = self._violators.get(code)
         if got is not None:
             return got
-        cards = (without_vertex(g, v) for v in range(g.n))
         result = self._least_with_self(
-            g, code, [self.violators(card) for card in cards
-                      if card.n and is_connected(card)])
+            g, code, [self.violators(without_vertex(g, v)) for v in range(g.n)
+                      if g.n > 1 and not _is_cut(g.adj, v)])
         self._violators[code] = result
         return result
 

@@ -19,13 +19,14 @@ contains a pattern H through its vertex v exactly when, for some vertex q
 of H, the graph minus v has an induced embedding of H-q whose image S
 meets v's neighbourhood in T, the image of q's neighbours.  Each catalog
 pattern keeps one form per q (the plan of H-q and the steps adjacent to
-q), and `_meetings` collects the (S, T) pairs of every embedding of every
-form.  Since T has one vertex per neighbour of q, forms whose q has more
-neighbours than v can have are skipped: a new leaf meets only the forms of
-H's leaves.  `is_free_with_new_vertex` tests v's row against the pairs,
-and `extension_table` marks, for a pattern-free parent, every
-neighbourhood of a new vertex that would complete a pattern, so an
-enumeration settles all of a parent's children in one pass.
+q), and `_meetings` runs the matcher's one recursion, `_extend`, to
+collect the (S, T) pairs of every embedding of every form.  Since T has
+one vertex per neighbour of q, forms whose q has more neighbours than v
+can have are skipped: a new leaf meets only the forms of H's leaves.
+`is_free_with_new_vertex` tests v's row against the pairs, and
+`extension_table` marks, for a pattern-free parent, every neighbourhood
+of a new vertex that would complete a pattern, so an enumeration settles
+all of a parent's children in one pass.
 """
 
 from __future__ import annotations
@@ -185,8 +186,8 @@ def _match_plan(pg: Graph) -> _Plan:
 
 
 #: A pattern H seen from one of its vertices q: the plan of H-q, and the
-#: mask of the plan steps whose pattern vertices are q's neighbours.
-_Form = tuple[_Plan, int]
+#: plan steps whose pattern vertices are q's neighbours.
+_Form = tuple[_Plan, tuple[int, ...]]
 
 
 def _vertex_forms(pg: Graph) -> tuple[_Form, ...]:
@@ -195,10 +196,8 @@ def _vertex_forms(pg: Graph) -> tuple[_Form, ...]:
     for q in range(pg.n):
         plan = _match_plan(without_vertex(pg, q))
         # without_vertex renumbers the vertices after q down by one
-        near = 0
-        for i, (r, _, _, _) in enumerate(plan):
-            if (pg.adj[q] >> (r + (r >= q))) & 1:
-                near |= 1 << i
+        near = tuple(i for i, (r, _, _, _) in enumerate(plan)
+                     if (pg.adj[q] >> (r + (r >= q))) & 1)
         forms.append((plan, near))
     return tuple(forms)
 
@@ -214,10 +213,21 @@ def _degree_masks(host: Graph) -> list[int]:
 
 
 def _extend(plan: _Plan, adj: tuple[int, ...], at_least: list[int],
-            image: list[int], idx: int, used: int) -> bool:
-    """Fill image[idx:] along the plan; image[i] is step i's host vertex."""
+            image: list[int], idx: int, used: int,
+            near: tuple[int, ...] = (), out: Optional[set] = None) -> bool:
+    """Fill image[idx:] along the plan; image[i] is step i's host vertex.
+
+    True at the first completion, unless `out` is given: then every
+    completion adds (used, touched) to it, the vertices of the image and
+    of the steps in `near`."""
     if idx == len(plan):
-        return True
+        if out is None:
+            return True
+        touched = 0
+        for i in near:
+            touched |= 1 << image[i]
+        out.add((used, touched))
+        return False
     _, deg, adjacent, apart = plan[idx]
     cand = at_least[deg] & ~used
     for j in adjacent:
@@ -227,7 +237,7 @@ def _extend(plan: _Plan, adj: tuple[int, ...], at_least: list[int],
     while cand:
         b = cand & -cand
         image[idx] = b.bit_length() - 1
-        if _extend(plan, adj, at_least, image, idx + 1, used | b):
+        if _extend(plan, adj, at_least, image, idx + 1, used | b, near, out):
             return True
         cand ^= b
     return False
@@ -293,29 +303,6 @@ def is_free(host: Graph, names: Iterable[str]) -> bool:
 # Embeddings through one vertex
 # ----------------------------------------------------------------------
 
-def _extend_all(plan: _Plan, near: int, adj: tuple[int, ...],
-                at_least: list[int], image: list[int], idx: int, used: int,
-                touched: int, out: set[tuple[int, int]]) -> None:
-    """Like `_extend`, but adds (used, touched) to `out` for every
-    completion: the image's vertices and those of its near steps."""
-    if idx == len(plan):
-        out.add((used, touched))
-        return
-    _, deg, adjacent, apart = plan[idx]
-    cand = at_least[deg] & ~used
-    for j in adjacent:
-        cand &= adj[image[j]]
-    for j in apart:
-        cand &= ~adj[image[j]]
-    is_near = (near >> idx) & 1
-    while cand:
-        b = cand & -cand
-        image[idx] = b.bit_length() - 1
-        _extend_all(plan, near, adj, at_least, image, idx + 1, used | b,
-                    touched | b if is_near else touched, out)
-        cand ^= b
-
-
 def _meetings(host: Graph, names: Iterable[str], skip: int,
               reach: int) -> set[tuple[int, int]]:
     """The (S, T) pairs of the named patterns' forms in the host.
@@ -330,9 +317,9 @@ def _meetings(host: Graph, names: Iterable[str], skip: int,
     for p in _named(frozenset(names)):
         for plan, near in p._forms:
             # a longer plan would overrun at_least with its degrees
-            if near.bit_count() <= reach and len(plan) <= host.n:
-                _extend_all(plan, near, host.adj, at_least,
-                            [-1] * len(plan), 0, 0, 0, out)
+            if len(near) <= reach and len(plan) <= host.n:
+                _extend(plan, host.adj, at_least, [-1] * len(plan), 0, 0,
+                        near, out)
     return out
 
 

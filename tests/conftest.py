@@ -1,9 +1,27 @@
 import random
+import shutil
+import tempfile
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from expodom.graphs import Graph, from_edge_list
 from expodom.hereditary import ParamStore
+
+
+#: Property tests replay the same examples on every run and write nothing.
+FUZZ = settings(derandomize=True, database=None, max_examples=300,
+                deadline=None)
+
+
+def pytest_configure(config):
+    # Hypothesis caches source constants (while collecting) and Unicode
+    # tables in its home directory even without an example database: keep
+    # them in a directory that is removed when the run ends
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+    set_hypothesis_home_dir(home)
 
 
 def path_graph(n: int) -> Graph:

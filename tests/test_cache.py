@@ -1,6 +1,40 @@
+import contextlib
+import io
+import re
+
 import pytest
+from hypothesis import given, strategies as st
 
 from expodom.cache import CacheRecord, ResultsCache
+from expodom.graphs import decode_graph6
+from conftest import FUZZ
+
+#: Text that stays on one line when the file is read back.
+LINE_TEXT = st.text(st.characters(blacklist_characters="\r\n"), max_size=12)
+KEYS = st.one_of(st.sampled_from(("A_", "Bw", "C~", "E@QW", " F?LT?")),
+                 LINE_TEXT)
+FIELD = st.one_of(st.integers(-2, 5).map(str), LINE_TEXT)
+CACHE_LINE = st.one_of(
+    LINE_TEXT,
+    st.tuples(KEYS, FIELD, FIELD, FIELD).map("\t".join),
+    # values that always satisfy the chain
+    st.builds(lambda key, vals: "\t".join(
+                  [key, *map(str, sorted(vals, reverse=True))]),
+              KEYS, st.lists(st.integers(-1, 5), min_size=3, max_size=3)),
+)
+
+
+def kept_oracle(line: str):
+    """(key, values) of a line the cache must keep, or None."""
+    fields = line.split("\t")
+    if len(fields) != 4:
+        return None
+    try:
+        decode_graph6(fields[0])
+        a, b, c = (int(v) for v in fields[1:])
+    except ValueError:  # Graph6Error and SizeCapError among them
+        return None
+    return (fields[0], (a, b, c)) if c <= b <= a else None
 
 
 class TestCacheRecord:
@@ -63,6 +97,26 @@ class TestResultsCache:
         assert cache.get("A_") == (1, 1, 1)
         assert err.count("skipping bad cache line") == 3
         assert ":2:" in err and ":3:" in err and ":5:" in err
+
+    @FUZZ
+    @given(lines=st.lists(CACHE_LINE, max_size=8))
+    def test_load_fuzz(self, tmp_path_factory, lines):
+        # any file loads: one warning per bad line, and only the lines with
+        # a graph6 key and chain-valid values are kept
+        path = tmp_path_factory.getbasetemp() / "fuzz-cache.tsv"
+        data = "\n".join(lines).encode("utf-8", "surrogatepass")
+        path.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            cache = ResultsCache(str(path))
+        # the cache reads ASCII, each other byte as U+FFFD
+        read = data.decode("ascii", "replace").split("\n")
+        bad = [lineno for lineno, line in enumerate(read, start=1)
+               if line.strip() and kept_oracle(line) is None]
+        warned = re.findall(r":(\d+): skipping bad cache line", err.getvalue())
+        assert list(map(int, warned)) == bad
+        kept = dict(filter(None, map(kept_oracle, read)))
+        assert list(cache.items()) == list(kept.items())
 
     def test_put_validates_chain(self, tmp_path):
         cache = ResultsCache(str(tmp_path / "cache.tsv"))

@@ -5,11 +5,13 @@ import random
 import pytest
 
 import networkx as nx
+from hypothesis import given, strategies as st
 
 from expodom.graphs import (
     Graph,
     Graph6Error,
     SizeCapError,
+    _is_cut,
     _search,
     canonical_code,
     canonical_graph,
@@ -25,9 +27,23 @@ from expodom.graphs import (
     without_vertex,
 )
 from expodom.enumeration import _augment, connected_graphs
-from conftest import cycle_graph, path_graph, random_graph
+from conftest import FUZZ, cycle_graph, path_graph, \
+    random_connected_graph, random_graph
 
 from oracles import plain_distance_oracle
+
+
+def _graph6_like(n: int):
+    """A header for order n, then a body of the right length or one byte
+    longer: valid unless the length is wrong or the padding is not zero."""
+    need = (n * (n - 1) // 2 + 5) // 6
+    body = st.text(st.characters(min_codepoint=63, max_codepoint=126),
+                   min_size=need, max_size=need + 1)
+    return body.map(lambda text: chr(63 + n) + text)
+
+
+GRAPH6_LIKE = st.tuples(st.sampled_from(("", ">>graph6<<", " ", "~??")),
+                        st.integers(0, 12).flatmap(_graph6_like)).map("".join)
 
 
 def _to_nx(g: Graph) -> nx.Graph:
@@ -160,6 +176,27 @@ class TestComponents:
 
     def test_single_vertex_connected(self):
         assert is_connected(Graph(1, (0,)))
+        assert is_connected(Graph(0, ()))
+
+    def test_components_match_networkx(self, rng):
+        # sparse draws leave isolated vertices and several components
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(0, 10),
+                             rng.choice((0.05, 0.15, 0.3, 0.5)))
+            want = sorted((sorted(c) for c in
+                           nx.connected_components(_to_nx(g))), key=min)
+            assert [sorted_bits(c) for c in connected_components(g)] == want
+            assert is_connected(g) == (len(want) <= 1)
+
+    def test_cut_vertices_match_networkx(self, rng):
+        graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
+        graphs += [random_connected_graph(rng, rng.randint(2, 12),
+                                          rng.choice((0.2, 0.35)))
+                   for _ in range(200)]
+        for g in graphs:
+            cut = set(nx.articulation_points(_to_nx(g)))
+            assert {u for u in range(g.n) if _is_cut(g.adj, u)} == cut, \
+                encode_graph6(g)
 
 
 def sorted_bits(mask: int) -> list[int]:
@@ -246,6 +283,17 @@ class TestGraph6:
     def test_oversize_order_refused(self):
         with pytest.raises(SizeCapError):
             decode_graph6("~?@@")  # long-form order 65
+
+    @FUZZ
+    @given(st.one_of(st.text(), st.binary(), GRAPH6_LIKE))
+    def test_decode_fuzz(self, text):
+        # any input is refused with a graph6 error or decodes to a graph
+        # that survives a round trip
+        try:
+            g = decode_graph6(text)
+        except (Graph6Error, SizeCapError):
+            return
+        assert decode_graph6(encode_graph6(g)) == g
 
 
 class TestCanonical:

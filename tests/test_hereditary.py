@@ -256,6 +256,28 @@ class TestConnectedCardRecursion:
                     want += len(masks) - kept
         assert calls == want == LABELED_CONJECTURE3_7
 
+    def test_recursion_builds_only_connected_cards(self, store, rng,
+                                                    monkeypatch):
+        # a cut vertex's card is never built, and skipping them changes
+        # no memo entry
+        build, cards = hereditary.without_vertex, []
+
+        def recorded(g, v):
+            cards.append(build(g, v))
+            return cards[-1]
+
+        monkeypatch.setattr(hereditary, "without_vertex", recorded)
+        graphs = [obstruction(name) for name in OBSTRUCTION_NAMES]
+        graphs += [g for n in range(1, 11) for g in trees(n)]
+        graphs += [random_connected_graph(rng, rng.randint(6, 9))
+                   for _ in range(100)]
+        fresh, memo = ParamStore(), {}
+        for g in graphs:
+            fresh.violators(g)
+            min_violators_oracle(g, store.params_for_code, memo)
+        assert cards and all(card.n and is_connected(card) for card in cards)
+        assert fresh._violators == memo
+
     def test_random_labelings(self, reference, rng):
         # a fresh store meets these labelings first, not the canonical ones
         fresh = ParamStore()
