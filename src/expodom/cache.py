@@ -1,10 +1,12 @@
 """Append-only results cache: one tab-separated record per canonical graph.
 
 Line format: <canonical graph6> TAB gamma TAB gamma_e TAB gamma_e_star.
-Records violating the parameter chain, short lines, or unparsable fields
-are skipped with a warning instead of aborting: a truncated final line from
-an interrupted run must not poison later sweeps.  Reads only ever speed
-things up; values are recomputed identically on a miss.
+A record holds a graph6 key and three ASCII-digit fields with
+1 <= gamma_e_star <= gamma_e <= gamma <= the key's order.  Any other line
+(short, signed, spaced, out of range) is skipped with a warning instead of
+aborting: a truncated final line from an interrupted run must not poison
+later sweeps.  Reads only ever speed things up; values are recomputed
+identically on a miss.
 """
 
 from __future__ import annotations
@@ -25,8 +27,10 @@ class CacheRecord:
     gamma_e_star: int
 
     def __post_init__(self) -> None:
-        if not (self.gamma_e_star <= self.gamma_e <= self.gamma):
-            raise ValueError("parameter chain violated")
+        n = graph6_bit_stream(self.graph6)[0]  # raises on a non-graph6 key
+        if not 1 <= self.gamma_e_star <= self.gamma_e <= self.gamma <= n:
+            raise ValueError("values break 1 <= gamma_e_star <= gamma_e"
+                             f" <= gamma <= {n}")
 
     def line(self) -> str:
         return f"{self.graph6}\t{self.gamma}\t{self.gamma_e}\t{self.gamma_e_star}\n"
@@ -37,9 +41,10 @@ class CacheRecord:
         if len(parts) != 4:
             raise ValueError(f"expected 4 fields, got {len(parts)}")
         g6, *vals = parts
-        graph6_bit_stream(g6)  # a key that is not graph6 is a bad line
-        a, b, c = (int(v) for v in vals)
-        return CacheRecord(g6, a, b, c)
+        for v in vals:
+            if not (v.isascii() and v.isdigit()):
+                raise ValueError(f"field {v!r} is not a decimal number")
+        return CacheRecord(g6, *map(int, vals))
 
 
 class ResultsCache:

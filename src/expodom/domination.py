@@ -44,8 +44,8 @@ from typing import TYPE_CHECKING, Iterable
 
 from .graphs import (
     Graph,
-    INFINITY,
-    bfs_levels,
+    _distance,
+    _layers,
     iter_bits,
     mask_from,
 )
@@ -94,26 +94,26 @@ def constrained_distance(g: Graph, d: int | Iterable[int], u: int, v: int):
     _check_vertex(g, v)
     if not (dmask >> v) & 1:
         raise ValueError(f"vertex {v} is not in the set")
-    levels = _punctured_levels(g, dmask, v)
-    return levels[u] if levels[u] >= 0 else INFINITY
-
-
-def _punctured_levels(g: Graph, blocked: int, v: int) -> list[int]:
-    # BFS from v in the subgraph induced on (V \ blocked) + v
-    allowed = (g.vertex_mask & ~blocked) | (1 << v)
-    return bfs_levels(g, 1 << v, allowed)
+    allowed = (g.vertex_mask & ~dmask) | (1 << v)
+    return _distance(g.adj, 1 << v, allowed, 1 << u)
 
 
 def _numerators(g: Graph, dmask: int, porous: bool) -> list[int]:
-    """Weight numerator at every vertex, scale 2^n: one BFS per set vertex."""
-    n = g.n
-    nums = [0] * n
-    # porous paths run anywhere; constrained ones avoid the other set vertices
+    """Weight numerator at every vertex, scale 2^n.
+
+    One BFS layer walk per set vertex v: a vertex in layer d gets
+    2^(n+1-d).  Porous walks run anywhere; constrained ones stay inside
+    (V \\ dmask) + v, so they avoid the other set vertices.
+    """
+    nums = [0] * g.n
     blocked = 0 if porous else dmask
     for v in iter_bits(dmask):
-        for u, d in enumerate(_punctured_levels(g, blocked, v)):
-            if d >= 0:
-                nums[u] += 1 << (n + 1 - d)
+        allowed = (g.vertex_mask & ~blocked) | (1 << v)
+        num = 2 << g.n
+        for layer in _layers(g.adj, 1 << v, allowed):
+            for u in iter_bits(layer):
+                nums[u] += num
+            num >>= 1
     return nums
 
 

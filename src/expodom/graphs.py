@@ -5,9 +5,11 @@ iff uv is an edge.  Vertex sets are plain ints used as bitmasks throughout,
 which keeps neighborhood unions, BFS frontiers and induced-subgraph masks to
 single integer operations.
 
-Also provides the graph6 codec (read/write), distances, components, girth,
-and the canonical code that names an isomorphism class everywhere else: the
-least graph6 bit string over the labeling search's leaves.
+Distances, components, cut vertices and girth all come from one BFS layer
+walk, `_layers`, whose entry d is the mask of the vertices at distance d.
+Also provides the graph6 codec (read/write) and the canonical code that
+names an isomorphism class everywhere else: the least graph6 bit string
+over the labeling search's leaves.
 """
 
 from __future__ import annotations
@@ -152,28 +154,30 @@ def without_vertex(g: Graph, v: int) -> Graph:
 # Distances and components
 # ----------------------------------------------------------------------
 
-def bfs_levels(g: Graph, sources: int, allowed: int | None = None) -> list[int]:
-    """BFS level per vertex (-1 = unreachable), expanding inside `allowed`.
+def _layers(adj: tuple[int, ...], start: int, allowed: int) -> list[int]:
+    """Entry d: the mask of the vertices at distance d from `start`.
 
-    Sources outside `allowed` are dropped before the walk starts.
+    Walks stay inside `allowed`, which must contain `start`.  The layers are
+    disjoint, so their sum is the set of vertices reached.
     """
-    n = g.n
-    if allowed is None:
-        allowed = g.vertex_mask
-    levels = [-1] * n
-    frontier = sources & allowed
-    seen = frontier
-    d = 0
-    adj = g.adj
+    layers = []
+    seen = frontier = start
     while frontier:
+        layers.append(frontier)
         nxt = 0
         for v in iter_bits(frontier):
-            levels[v] = d
             nxt |= adj[v]
         frontier = nxt & allowed & ~seen
         seen |= frontier
-        d += 1
-    return levels
+    return layers
+
+
+def _distance(adj: tuple[int, ...], start: int, allowed: int, target: int):
+    """Index of the first layer that meets `target`, INFINITY if none does."""
+    for d, layer in enumerate(_layers(adj, start, allowed)):
+        if layer & target:
+            return d
+    return INFINITY
 
 
 def set_distance(g: Graph, xs: int | Iterable[int], ys: int | Iterable[int]):
@@ -184,26 +188,7 @@ def set_distance(g: Graph, xs: int | Iterable[int], ys: int | Iterable[int]):
         raise ValueError("set_distance needs two nonempty sets")
     if (xm | ym) >> g.n:
         raise ValueError("vertex mask outside the graph")
-    if xm & ym:
-        return 0
-    levels = bfs_levels(g, xm)
-    best = INFINITY
-    for v in iter_bits(ym):
-        if levels[v] >= 0 and levels[v] < best:
-            best = levels[v]
-    return best
-
-
-def _reach(adj: tuple[int, ...], start: int, allowed: int) -> int:
-    """Mask of the vertices reached from `start` by walks inside `allowed`."""
-    seen = frontier = start
-    while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= adj[v]
-        frontier = nxt & allowed & ~seen
-        seen |= frontier
-    return seen
+    return _distance(g.adj, xm, g.vertex_mask, ym)
 
 
 def connected_components(g: Graph) -> list[int]:
@@ -211,7 +196,7 @@ def connected_components(g: Graph) -> list[int]:
     comps = []
     todo = g.vertex_mask
     while todo:
-        comp = _reach(g.adj, todo & -todo, todo)
+        comp = sum(_layers(g.adj, todo & -todo, todo))
         comps.append(comp)
         todo ^= comp
     return comps
@@ -219,13 +204,13 @@ def connected_components(g: Graph) -> list[int]:
 
 def is_connected(g: Graph) -> bool:
     full = g.vertex_mask
-    return g.n == 0 or _reach(g.adj, 1, full) == full
+    return g.n == 0 or sum(_layers(g.adj, 1, full)) == full
 
 
 def _is_cut(adj: tuple[int, ...], u: int) -> bool:
     """Whether deleting u disconnects the connected graph with these rows."""
     rest = ((1 << len(adj)) - 1) ^ (1 << u)
-    return _reach(adj, rest & -rest, rest) != rest
+    return sum(_layers(adj, rest & -rest, rest)) != rest
 
 
 def girth(g: Graph):
@@ -238,12 +223,11 @@ def girth(g: Graph):
     best = INFINITY
     for u, v in g.edges():
         rows = list(g.adj)
-        rows[u] &= ~(1 << v)
-        rows[v] &= ~(1 << u)
-        cut = Graph(g.n, tuple(rows))
-        levels = bfs_levels(cut, 1 << u)
-        if levels[v] >= 0 and levels[v] + 1 < best:
-            best = levels[v] + 1
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        d = _distance(tuple(rows), 1 << u, g.vertex_mask, 1 << v)
+        if d + 1 < best:
+            best = d + 1
     return best
 
 

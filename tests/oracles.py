@@ -163,21 +163,49 @@ def find_induced_oracle(g: Graph, p: Graph, through: int | None = None):
     return None
 
 
-def has_induced_nx_oracle(host, pattern) -> bool:
-    """Whether the networkx graph `pattern` is induced in the networkx graph
-    `host`.  Every k-subset of the host is tried, k the pattern's order;
-    one whose induced degree sequence differs from the pattern's cannot
-    match and is skipped, and `nx.is_isomorphic` decides the others."""
+def induced_nx_oracle(host, patterns) -> list[bool]:
+    """Whether each networkx graph of `patterns` is induced in the networkx
+    graph `host`.  The patterns share one order k, and all vertices are
+    0, 1, ....  One pass over the k-subsets of the host serves every
+    pattern.  A subset reaches `nx.is_isomorphic` for a pattern not yet
+    found only when its induced degree sequence, and then its sorted
+    (degree, sorted neighbour degrees) pairs, equal the pattern's.  Both are
+    isomorphism invariants, so no match is skipped; networkx decides every
+    isomorphism."""
     import networkx as nx
 
-    want = sorted(d for _, d in pattern.degree())
-    adj = {v: set(host[v]) for v in host}
-    for nodes in combinations(host, len(want)):
-        chosen = set(nodes)
-        if sorted(len(adj[v] & chosen) for v in nodes) == want and \
-                nx.is_isomorphic(host.subgraph(nodes).copy(), pattern):
-            return True
-    return False
+    def rows(graph):
+        return {v: sum(1 << w for w in graph[v]) for v in graph}
+
+    def profile(adj, nodes, degree):
+        return sorted((degree[v], sorted(degree[w] for w in nodes
+                                         if adj[v] >> w & 1))
+                      for v in nodes)
+
+    wants = []
+    for p in patterns:
+        adj = rows(p)
+        degree = {v: adj[v].bit_count() for v in adj}
+        wants.append((sorted(degree.values()), profile(adj, adj, degree)))
+    found = [False] * len(patterns)
+    adj = rows(host)
+    for nodes in combinations(host, len(patterns[0])):
+        mask = sum(1 << v for v in nodes)
+        degree = {v: (adj[v] & mask).bit_count() for v in nodes}
+        have = sorted(degree.values())
+        sub = pairs = None
+        for i, (degrees, want) in enumerate(wants):
+            if found[i] or have != degrees:
+                continue
+            if pairs is None:
+                pairs = profile(adj, nodes, degree)
+            if pairs == want:
+                if sub is None:
+                    sub = host.subgraph(nodes).copy()
+                found[i] = nx.is_isomorphic(sub, patterns[i])
+        if all(found):
+            break
+    return found
 
 
 def augmentation_filter_oracle(parent: Graph, mask: int) -> bool:

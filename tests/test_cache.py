@@ -13,7 +13,10 @@ from conftest import FUZZ
 LINE_TEXT = st.text(st.characters(blacklist_characters="\r\n"), max_size=12)
 KEYS = st.one_of(st.sampled_from(("A_", "Bw", "C~", "E@QW", " F?LT?")),
                  LINE_TEXT)
-FIELD = st.one_of(st.integers(-2, 5).map(str), LINE_TEXT)
+FIELD = st.one_of(st.integers(-2, 5).map(str),
+                  # spellings int() reads; only plain digits make a field
+                  st.sampled_from(("+1", " 1", "1 ", "1_0", "01", "\u0661")),
+                  LINE_TEXT)
 CACHE_LINE = st.one_of(
     LINE_TEXT,
     st.tuples(KEYS, FIELD, FIELD, FIELD).map("\t".join),
@@ -30,11 +33,13 @@ def kept_oracle(line: str):
     if len(fields) != 4:
         return None
     try:
-        decode_graph6(fields[0])
-        a, b, c = (int(v) for v in fields[1:])
+        n = decode_graph6(fields[0]).n
     except ValueError:  # Graph6Error and SizeCapError among them
         return None
-    return (fields[0], (a, b, c)) if c <= b <= a else None
+    if not all(v and set(v) <= set("0123456789") for v in fields[1:]):
+        return None
+    a, b, c = (int(v) for v in fields[1:])
+    return (fields[0], (a, b, c)) if 1 <= c <= b <= a <= n else None
 
 
 class TestCacheRecord:
@@ -50,7 +55,12 @@ class TestCacheRecord:
 
     def test_parse_rejects_malformed(self):
         for bad in ("", "C~\t1\t1", "C~\t1\t1\t1\t1", "\t1\t1\t1",
-                    "C~\tx\t1\t1"):
+                    "C~\tx\t1\t1",
+                    # signed, spaced, underscored or non-ASCII digits
+                    "A_\t-1\t-2\t-3", "Bw\t1_0\t+2\t 0", "Bw\t1\t1\t1 ",
+                    "Bw\t\u0661\t1\t1",
+                    # values outside 1..order
+                    "A_\t0\t0\t0", "Bw\t4\t1\t1", "?\t0\t0\t0"):
             with pytest.raises(ValueError):
                 CacheRecord.parse(bad)
 
@@ -89,14 +99,17 @@ class TestResultsCache:
                          b"C~\t1\t2\t1\n"   # chain violation
                          b"\n"
                          b"B\xc3\xa9\t1\t1\t1\n"   # key is not graph6
+                         b"A_\t-1\t-2\t-3\n"   # signed, below 1
+                         b"Bw\t1_0\t+2\t 0\n"   # not plain digits
                          b"A_\t1\t1\t1\n")
         cache = ResultsCache(str(path))
         err = capsys.readouterr().err
         assert len(cache) == 2
         assert cache.get("E@QW") == (3, 2, 2)
         assert cache.get("A_") == (1, 1, 1)
-        assert err.count("skipping bad cache line") == 3
-        assert ":2:" in err and ":3:" in err and ":5:" in err
+        assert cache.get("Bw") is None
+        assert err.count("skipping bad cache line") == 5
+        assert all(f":{i}:" in err for i in (2, 3, 5, 6, 7))
 
     @FUZZ
     @given(lines=st.lists(CACHE_LINE, max_size=8))

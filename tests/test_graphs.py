@@ -155,6 +155,13 @@ class TestDistances:
             g = random_graph(rng, 7)
             u, v = rng.sample(range(7), 2)
             assert set_distance(g, [u], [v]) == plain_distance_oracle(g, u, v)
+        # sets of several vertices, intersecting ones included
+        for _ in range(40):
+            g = random_graph(rng, 7, 0.25)
+            xs = rng.sample(range(7), rng.randint(1, 3))
+            ys = rng.sample(range(7), rng.randint(1, 3))
+            assert set_distance(g, xs, ys) == min(
+                plain_distance_oracle(g, x, y) for x in xs for y in ys)
 
     def test_set_distance_between_sets(self):
         p6 = path_graph(6)
