@@ -1,22 +1,27 @@
 """Append-only results cache: one tab-separated record per canonical graph.
 
 Line format: <canonical graph6> TAB gamma TAB gamma_e TAB gamma_e_star.
-A record holds a graph6 key and three ASCII-digit fields with
-1 <= gamma_e_star <= gamma_e <= gamma <= the key's order.  Any other line
-(short, signed, spaced, out of range) is skipped with a warning instead of
-aborting: a truncated final line from an interrupted run must not poison
-later sweeps.  Reads only ever speed things up; values are recomputed
-identically on a miss.
+A record holds a graph6 key of bytes 63-126 alone (no header, no spaces)
+and three ASCII-digit fields with 1 <= gamma_e_star <= gamma_e <= gamma <=
+the key's order.  Any other line (short, signed, spaced, out of range) is
+skipped with a warning instead of aborting: a truncated final line from an
+interrupted run must not poison later sweeps.  Reads only ever speed things
+up; values are recomputed identically on a miss.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import sys
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional
 
 from .graphs import graph6_bit_stream
+
+#: A key as lookups spell it: graph6 bytes alone.  A key with a header or
+#: spaces still parses as graph6, but its record would never be hit.
+_GRAPH6_KEY = re.compile(r"[?-~]+")
 
 
 @dataclass(frozen=True)
@@ -27,6 +32,8 @@ class CacheRecord:
     gamma_e_star: int
 
     def __post_init__(self) -> None:
+        if not _GRAPH6_KEY.fullmatch(self.graph6):
+            raise ValueError("key has a byte outside the graph6 range 63-126")
         n = graph6_bit_stream(self.graph6)[0]  # raises on a non-graph6 key
         if not 1 <= self.gamma_e_star <= self.gamma_e <= self.gamma <= n:
             raise ValueError("values break 1 <= gamma_e_star <= gamma_e"

@@ -9,8 +9,11 @@ a connected graph of order k by adding one vertex with a nonempty
 neighborhood (delete any non-cut vertex to see this), and every tree arises
 from a tree by attaching a leaf.  Each parent is augmented along one
 neighbourhood mask per orbit of its automorphism group, since masks in one
-orbit give isomorphic children; the group's generators come from the
-parent's own labeling search.  A canonical augmentation filter (`_keeps`)
+orbit give isomorphic children.  The group's generators come from the
+labeling that named the parent's class one level down, mapped onto its
+representative (`canonical_code(..., generators=...)`), so no parent is
+searched again for its group; a level keeps them, packed, until the level
+above has been built.  A canonical augmentation filter (`_keeps`)
 then rejects, before any labeling, each candidate whose new vertex is
 beaten by a non-cut vertex with a larger (degree, sorted neighbour degrees)
 invariant; every class still keeps at least one candidate.  The kept
@@ -41,9 +44,10 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cache
-from typing import Callable, Iterable, Iterator
+from itertools import accumulate
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .graphs import Graph, SizeCapError, _is_cut, _search, \
+from .graphs import Graph, SizeCapError, _is_cut, _trusted, \
     canonical_code, decode_graph6, is_connected, iter_bits
 from .graphs import canonical_graph  # kept for bench/tracer.py to patch
 from . import patterns
@@ -88,19 +92,31 @@ class Level(list):
 
     `below` is the level one order down, whose classes are the parents.
     `children(j)` gives the classes of parent j's connected one-vertex
-    extensions in the host class; `decks` inverts it.
+    extensions in the host class; `decks` inverts it.  `generators(j)`
+    gives class j's automorphism generators, kept from the labeling that
+    named it until the level above has been built.
     """
 
-    __slots__ = ("below", "_records")
+    __slots__ = ("below", "_generators", "_records")
 
     def __init__(self, pairs: Iterable[tuple[bytes, Graph]],
                  below: list[tuple[bytes, Graph]],
-                 records: list[tuple[tuple[bytes, ...], int]]):
+                 records: list[tuple[tuple[bytes, ...], int]],
+                 generators: tuple[bytes, memoryview]):
         super().__init__(pairs)
         self.below = below
+        # `_packed` generators; None once the level above is built
+        self._generators: tuple[bytes, memoryview] | None = generators
         # per parent: the codes of its kept candidates, and its rejected
         # masks as one set, bit m set for mask m
         self._records = records
+
+    def generators(self, j: int) -> list[bytes]:
+        """Generators of Aut of class j's representative, each the images
+        of its vertices in order."""
+        blob, offsets = self._generators
+        k = self[j][1].n
+        return [blob[i:i + k] for i in range(offsets[j], offsets[j + 1], k)]
 
     def children(self, j: int) -> tuple[bytes, ...]:
         """The codes of parent j's children, each class at least once.
@@ -194,11 +210,11 @@ def levels_from_graphs(graphs: Iterable[Graph], max_n: int,
 
 #: Every level built in this process, with its parent records, so later
 #: sweeps and streams reuse them.  Each level holds the one below through
-#: `below`, so this memo does not raise the peak; the records do.  Peak
-#: RSS (CPython 3.11, x86-64 Linux): 27.5-27.6 MB for `verify --sweep
-#: conjecture3` (max-n 8), 24.1 MB for `enum --n 8` and 161 MB for `enum
-#: --n 9`, against 28.6-28.7, 25.8-25.9 and 191 MB with kept parents per
-#: class and rejected masks per parent.
+#: `below`, so this memo does not raise the peak; the records and the top
+#: level's generators do.  Peak RSS (CPython 3.11, x86-64 Linux): 27.2 MB
+#: for `verify --sweep conjecture3` (max-n 8), 23.9 MB for `enum --n 8`
+#: and 167.7 MB for `enum --n 9`, against 28.6-28.7, 25.8-25.9 and 191 MB
+#: with kept parents per class and rejected masks per parent.
 _LEVELS: dict[tuple[StreamMode, frozenset[str], int], Level] = {}
 
 
@@ -209,15 +225,18 @@ def _level_pairs(mode: StreamMode, free_of: frozenset[str],
     if got is not None:
         return got
     if n == 1:
-        single = Graph(1, (0,))
+        single = _trusted((0,))
         # every catalog pattern has at least 3 vertices, so none filters it
-        level = Level([(canonical_code(single), single)], [], [])
+        level = Level([(canonical_code(single), single)], [], [],
+                      _packed([b""]))
         _LEVELS[key] = level
         return level
     below = _level_pairs(mode, free_of, n - 1)
-    classes: dict[bytes, bytes] = {}
+    # per class: its code, and its generators from the first candidate
+    # that reached it
+    classes: dict[bytes, tuple[bytes, bytes]] = {}
     records: list[tuple[tuple[bytes, ...], int]] = []
-    for _, parent in below:
+    for j, (_, parent) in enumerate(below):
         k = parent.n
         if mode is StreamMode.TREES:
             masks: Iterable[int] = (1 << u for u in range(k))
@@ -228,24 +247,42 @@ def _level_pairs(mode: StreamMode, free_of: frozenset[str],
         blocked = patterns.extension_table(parent, free_of, reach)
         kept = []
         rejected = 0
-        for mask in _orbit_masks(parent, (m for m in masks
-                                          if not blocked >> m & 1)):
+        for mask in _orbit_masks(below.generators(j),
+                                 (m for m in masks if not blocked >> m & 1)):
             rows = _augmented_rows(parent.adj, mask)
             if _keeps(rows):
-                code = canonical_code(Graph(n, rows))
+                found: set[tuple[int, ...]] = set()
+                code = canonical_code(_trusted(rows), generators=found)
+                named = classes.get(code)
+                if named is None:
+                    named = classes[code] = (code,
+                                             b"".join(map(bytes, found)))
                 # one bytes object per class, however often it is reached
-                kept.append(classes.setdefault(code, code))
+                kept.append(named[0])
             else:
                 rejected |= 1 << mask
         records.append((tuple(kept), rejected))
     codes = sorted(classes)
+    generators = _packed([classes[code][1] for code in codes])
     del classes  # freed before the graphs are decoded, to lower the peak
     level = Level([(code, decode_graph6(code)) for code in codes], below,
-                  records)
+                  records, generators)
     if not free_of:
         _check_count(mode, n, len(level))
     _LEVELS[key] = level
+    below._generators = None  # only this level's parents needed them
     return level
+
+
+def _packed(packs: list[bytes]) -> tuple[bytes, memoryview]:
+    """Per-class generators (images concatenated, one byte per vertex) as
+    one bytes object and offsets, class j's part from offsets[j] to
+    offsets[j + 1]: no object per class."""
+    # 4-byte unsigned offsets, without importing the array module
+    offsets = memoryview(bytearray(4 * len(packs) + 4)).cast("I")
+    for j, end in enumerate(accumulate(map(len, packs)), start=1):
+        offsets[j] = end
+    return b"".join(packs), offsets
 
 
 def _keeps(rows: tuple[int, ...]) -> bool:
@@ -280,25 +317,25 @@ def _keeps(rows: tuple[int, ...]) -> bool:
     return True
 
 
-def _orbit_masks(parent: Graph, masks: Iterable[int]) -> Iterator[int]:
-    """The least mask of each Aut(parent) orbit among `masks`.
+def _orbit_masks(generators: Iterable[Sequence[int]],
+                 masks: Iterable[int]) -> Iterator[int]:
+    """The least mask of each orbit among `masks` of the group generated
+    by `generators`, each a sequence whose entry v is the image of v.
 
-    `masks` must be ascending and closed under Aut(parent); masks in one
-    orbit give isomorphic children.  The generators come from the labeling
-    search, called directly rather than through `canonical_code`, so that
-    the calls of `canonical_code` are the candidates' labelings alone.
+    For a parent, the generators are those of Aut(parent) that its level
+    kept from the labeling that named the class.  `masks` must be ascending
+    and closed under the group; masks in one orbit give isomorphic
+    children.
     """
-    generators: set[tuple[int, ...]] = set()
-    _search(parent.adj, generators)
-    if not generators:
-        yield from masks
-        return
     # per generator: the bits it fixes, and (source bit, image bit) of the
     # vertices it moves
     moves = []
     for image in generators:
         moved = [(1 << v, 1 << w) for v, w in enumerate(image) if v != w]
         moves.append((~sum(src for src, _ in moved), moved))
+    if not moves:
+        yield from masks
+        return
     seen = set()
     for mask in masks:
         if mask in seen:
@@ -330,7 +367,7 @@ def _check_count(mode: StreamMode, n: int, found: int) -> None:
 
 def _augment(parent: Graph, neighborhood: int) -> Graph:
     """Parent plus one new vertex adjacent to the masked vertices."""
-    return Graph(parent.n + 1, _augmented_rows(parent.adj, neighborhood))
+    return _trusted(_augmented_rows(parent.adj, neighborhood))
 
 
 def _augmented_rows(adj: tuple[int, ...],

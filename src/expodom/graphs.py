@@ -102,6 +102,18 @@ class Graph:
         return f"Graph(n={self.n}, edges={tuple(self.edges())})"
 
 
+def _trusted(adj: tuple[int, ...]) -> Graph:
+    """A Graph on rows the package built itself, symmetric and irreflexive
+    by construction, so the public constructor's checks are skipped.
+    Validation stays at `Graph(...)`, `from_edge_list` and graph6 parsing.
+    """
+    g = object.__new__(Graph)
+    # not through g.__dict__, which would give every graph a full dict
+    object.__setattr__(g, "n", len(adj))
+    object.__setattr__(g, "adj", adj)
+    return g
+
+
 def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph; duplicate edges collapse, self-loops are rejected."""
     if not 0 <= n <= MAX_VERTICES:
@@ -143,7 +155,7 @@ def _renamed(g: Graph, kept: tuple[int, ...]) -> Graph:
         for w in iter_bits(g.adj[v] & mask):
             row |= 1 << pos[w]
         rows.append(row)
-    return Graph(len(kept), tuple(rows))
+    return _trusted(tuple(rows))
 
 
 def without_vertex(g: Graph, v: int) -> Graph:
@@ -317,7 +329,7 @@ def decode_graph6(text: str | bytes) -> Graph:
             if (bits >> shift) & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return _trusted(tuple(rows))
 
 
 # ----------------------------------------------------------------------
@@ -338,37 +350,49 @@ def decode_graph6(text: str | bytes) -> Graph:
 # automorphisms and neither pruning rule can hide every leaf of the best
 # string below a vertex of the first best leaf's orbit in its cell, so at
 # each node of that leaf's path the generators found move its vertex to
-# every vertex of that orbit: they generate the whole group.
+# every vertex of that orbit: they generate the whole group (McKay and
+# Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 60, 2014).
+# `canonical_code` maps them through the best leaf's order onto the
+# canonical form, so the labeling that names a class also gives its
+# representative's group, and the enumeration searches no parent again.
 
 def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
-    changed = True
-    while changed:
-        changed = False
-        for idx, cell in enumerate(cells):
-            if cell & (cell - 1) == 0:
-                continue
+    """Split cells by neighbour counts into every cell until equitable.
+
+    After each split the scan restarts from the first cell.
+    """
+    idx = 0
+    while idx < len(cells):
+        cell = cells[idx]
+        if cell & (cell - 1):
             groups: dict[tuple[int, ...], int] = {}
-            for v in iter_bits(cell):
-                av = adj[v]
-                sig = tuple((av & c).bit_count() for c in cells)
-                groups[sig] = groups.get(sig, 0) | (1 << v)
+            rest = cell
+            while rest:
+                b = rest & -rest
+                rest ^= b
+                av = adj[b.bit_length() - 1]
+                sig = tuple([(av & c).bit_count() for c in cells])
+                groups[sig] = groups.get(sig, 0) | b
             if len(groups) > 1:
                 cells[idx:idx + 1] = [groups[s] for s in sorted(groups)]
-                changed = True
-                break
+                idx = 0
+                continue
+        idx += 1
     return cells
 
 
 def _search(adj: tuple[int, ...],
-            generators: set[tuple[int, ...]] | None = None) -> list[int]:
-    """The least leaf's graph6 columns.
+            generators: set[tuple[int, ...]] | None = None
+            ) -> tuple[list[int], list[int]]:
+    """The least leaf's graph6 columns, and its order.
 
-    With a `generators` set, also adds generators of the graph's
+    Position i of the order holds the vertex that the canonical form
+    names i.  With a `generators` set, also adds generators of the graph's
     automorphism group to it, each a tuple whose entry v is the image of v.
     """
     n = len(adj)
     best: list[int] | None = None
-    best_order: list[int] = []
+    best_order: list[int] = list(range(n))
 
     def dfs(cells: list[int]) -> None:
         nonlocal best, best_order
@@ -414,12 +438,29 @@ def _search(adj: tuple[int, ...],
 
     if n > 1:
         dfs(_refine(adj, [(1 << n) - 1]))
-    return best or []
+    return best or [], best_order
 
 
-def canonical_code(g: Graph) -> bytes:
-    """graph6 bytes of g's canonical form; equal iff isomorphic."""
-    return _pack(g.n, _search(g.adj))
+def canonical_code(g: Graph, *,
+                   generators: set[tuple[int, ...]] | None = None) -> bytes:
+    """graph6 bytes of g's canonical form; equal iff isomorphic.
+
+    With a `generators` set, also adds generators of the automorphism group
+    of the canonical form (the graph the code decodes to), each a tuple
+    whose entry i is the image of i.
+    """
+    if generators is None:
+        return _pack(g.n, _search(g.adj)[0])
+    found: set[tuple[int, ...]] = set()
+    columns, order = _search(g.adj, found)
+    if found:
+        # the canonical form's vertex i is g's vertex order[i]
+        named = [0] * g.n
+        for i, v in enumerate(order):
+            named[v] = i
+        for image in found:
+            generators.add(tuple([named[image[v]] for v in order]))
+    return _pack(g.n, columns)
 
 
 def canonical_graph(g: Graph) -> Graph:

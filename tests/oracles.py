@@ -8,6 +8,9 @@ counts; k-subsets and networkx isomorphism for induced matching on larger
 hosts.  Slow on purpose, and deliberately free of the package's own
 search machinery, apart from the all-masks level builder, which keeps the
 package's labeling and extension tables to check its orbit pruning alone.
+The labeling kernel's reference is its earlier form, frozen verbatim
+(`_refine`, `_search`): a faster kernel must return the same columns and
+the same generator sets.
 """
 
 from __future__ import annotations
@@ -18,10 +21,12 @@ from itertools import combinations, permutations
 
 from expodom.graphs import (
     Graph,
+    _column,
     canonical_code,
     connected_components,
     decode_graph6,
     induced_subgraph,
+    iter_bits,
     without_vertex,
 )
 
@@ -363,3 +368,93 @@ def levels_oracle(trees: bool, free_of, max_n: int) -> dict:
                     deck.append(pcode)
         out[n] = sorted(decks.items())
     return out
+
+
+# ----------------------------------------------------------------------
+# The labeling kernel as it was before its inner loop was rewritten, kept
+# verbatim: the reference for `graphs._refine` and `graphs._search`.
+# ----------------------------------------------------------------------
+
+def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
+    changed = True
+    while changed:
+        changed = False
+        for idx, cell in enumerate(cells):
+            if cell & (cell - 1) == 0:
+                continue
+            groups: dict[tuple[int, ...], int] = {}
+            for v in iter_bits(cell):
+                av = adj[v]
+                sig = tuple((av & c).bit_count() for c in cells)
+                groups[sig] = groups.get(sig, 0) | (1 << v)
+            if len(groups) > 1:
+                cells[idx:idx + 1] = [groups[s] for s in sorted(groups)]
+                changed = True
+                break
+    return cells
+
+
+def _search(adj: tuple[int, ...],
+            generators: set[tuple[int, ...]] | None = None) -> list[int]:
+    """The least leaf's graph6 columns.
+
+    With a `generators` set, also adds generators of the graph's
+    automorphism group to it, each a tuple whose entry v is the image of v.
+    """
+    n = len(adj)
+    best: list[int] | None = None
+    best_order: list[int] = []
+
+    def dfs(cells: list[int]) -> None:
+        nonlocal best, best_order
+        order = []
+        for c in cells:
+            if c & (c - 1) == 0:
+                order.append(c.bit_length() - 1)
+            else:
+                break
+        p = len(order)
+        rows = [_column(adj[order[i]], order, i) for i in range(1, p)]
+        if best is not None and rows > best[: len(rows)]:
+            return
+        if p == n:
+            if best is None or rows < best:
+                best, best_order = rows, order
+            elif generators is not None:
+                # same relabeled graph: best_order[i] -> order[i] is an
+                # automorphism
+                image = [0] * n
+                for u, v in zip(best_order, order):
+                    image[u] = v
+                generators.add(tuple(image))
+            return
+        target = cells[p]
+        tried: list[int] = []
+        for v in iter_bits(target):
+            vb = 1 << v
+            skip = False
+            for u in tried:
+                # transposition (u v) is an automorphism: branches coincide
+                if (adj[u] & ~vb) == (adj[v] & ~(1 << u)):
+                    if generators is not None:
+                        image = list(range(n))
+                        image[u], image[v] = v, u
+                        generators.add(tuple(image))
+                    skip = True
+                    break
+            if skip:
+                continue
+            tried.append(v)
+            dfs(_refine(adj, cells[:p] + [vb, target ^ vb] + cells[p + 1:]))
+
+    if n > 1:
+        dfs(_refine(adj, [(1 << n) - 1]))
+    return best or []
+
+
+def search_oracle(adj: tuple[int, ...],
+                  generators: set[tuple[int, ...]] | None = None
+                  ) -> list[int]:
+    """The frozen labeling search: the least leaf's graph6 columns, and
+    with a `generators` set, the automorphisms it finds."""
+    return _search(adj, generators)

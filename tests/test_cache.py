@@ -11,7 +11,8 @@ from conftest import FUZZ
 
 #: Text that stays on one line when the file is read back.
 LINE_TEXT = st.text(st.characters(blacklist_characters="\r\n"), max_size=12)
-KEYS = st.one_of(st.sampled_from(("A_", "Bw", "C~", "E@QW", " F?LT?")),
+KEYS = st.one_of(st.sampled_from(("A_", "Bw", "C~", "E@QW", " F?LT?",
+                                  "F?LT? ", ">>graph6<<F?LT?")),
                  LINE_TEXT)
 FIELD = st.one_of(st.integers(-2, 5).map(str),
                   # spellings int() reads; only plain digits make a field
@@ -31,6 +32,9 @@ def kept_oracle(line: str):
     """(key, values) of a line the cache must keep, or None."""
     fields = line.split("\t")
     if len(fields) != 4:
+        return None
+    # the key is graph6 bytes alone: no header, no surrounding spaces
+    if not fields[0] or any(not 63 <= ord(ch) <= 126 for ch in fields[0]):
         return None
     try:
         n = decode_graph6(fields[0]).n
@@ -60,7 +64,10 @@ class TestCacheRecord:
                     "A_\t-1\t-2\t-3", "Bw\t1_0\t+2\t 0", "Bw\t1\t1\t1 ",
                     "Bw\t\u0661\t1\t1",
                     # values outside 1..order
-                    "A_\t0\t0\t0", "Bw\t4\t1\t1", "?\t0\t0\t0"):
+                    "A_\t0\t0\t0", "Bw\t4\t1\t1", "?\t0\t0\t0",
+                    # keys that are graph6 only once stripped
+                    " F?LT?\t3\t2\t2", "F?LT? \t3\t2\t2",
+                    ">>graph6<<F?LT?\t3\t2\t2"):
             with pytest.raises(ValueError):
                 CacheRecord.parse(bad)
 
@@ -135,6 +142,25 @@ class TestResultsCache:
         cache = ResultsCache(str(tmp_path / "cache.tsv"))
         with pytest.raises(ValueError):
             cache.put("C~", (1, 2, 2))
+
+    def test_padded_keys_skipped_and_refused(self, tmp_path, capsys):
+        # each line's key is valid graph6 once stripped, and none would
+        # ever be hit: warned about on load, refused by put
+        path = tmp_path / "cache.tsv"
+        path.write_bytes(b" F?LT?\t3\t2\t2\n"
+                         b"F?LT? \t3\t2\t2\n"
+                         b">>graph6<<F?LT?\t3\t2\t2\n"
+                         b"F?LT?\t3\t2\t2\n")
+        cache = ResultsCache(str(path))
+        err = capsys.readouterr().err
+        assert list(cache.items()) == [("F?LT?", (3, 2, 2))]
+        assert err.count("skipping bad cache line") == 3
+        assert all(f":{i}:" in err for i in (1, 2, 3))
+        for key in (" F?LT?", "F?LT? ", ">>graph6<<F?LT?"):
+            with pytest.raises(ValueError):
+                cache.put(key, (3, 2, 2))
+        cache.close()
+        assert path.read_bytes().count(b"\n") == 4
 
     def test_items_in_file_order(self, tmp_path):
         path = str(tmp_path / "cache.tsv")

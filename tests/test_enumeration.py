@@ -22,6 +22,7 @@ from expodom.graphs import (
     Graph,
     Graph6Error,
     SizeCapError,
+    _search,
     canonical_code,
     decode_graph6,
     encode_graph6,
@@ -261,6 +262,13 @@ def all_masks_levels(mode: StreamMode, free_of, max_n: int) -> dict:
     return oracles.levels_oracle(mode is StreamMode.TREES, free_of, max_n)
 
 
+def own_generators(g: Graph) -> set[tuple[int, ...]]:
+    """Generators of Aut(g) from a labeling search of g itself."""
+    found: set[tuple[int, ...]] = set()
+    _search(g.adj, found)
+    return found
+
+
 def candidates(mode: StreamMode, free_of, parent):
     """The masks a level augments the parent along: one per Aut(parent)
     orbit of the masks its extension table leaves unblocked."""
@@ -270,7 +278,8 @@ def candidates(mode: StreamMode, free_of, parent):
     else:
         masks, reach = range(1, 1 << k), k
     blocked = extension_table(parent, frozenset(free_of), reach)
-    return _orbit_masks(parent, [m for m in masks if not blocked >> m & 1])
+    return _orbit_masks(own_generators(parent),
+                        [m for m in masks if not blocked >> m & 1])
 
 
 class TestOrbitPruning:
@@ -290,7 +299,8 @@ class TestOrbitPruning:
         # orbits of Aut(g) on nonempty vertex sets: 2^cycles - 1 fixed
         for n in range(1, 7):
             for g in connected_graphs(n):
-                kept = list(_orbit_masks(g, range(1, 1 << n)))
+                kept = list(_orbit_masks(own_generators(g),
+                                         range(1, 1 << n)))
                 assert kept == sorted(kept)
                 assert len(kept) == _burnside(
                     g, lambda a: (1 << _cycles(a)) - 1), encode_graph6(g)
@@ -299,7 +309,8 @@ class TestOrbitPruning:
         # orbits of Aut(t) on single vertices: fixed points
         for n in range(1, 10):
             for t in trees(n):
-                kept = list(_orbit_masks(t, (1 << u for u in range(n))))
+                kept = list(_orbit_masks(own_generators(t),
+                                         (1 << u for u in range(n))))
                 assert kept == sorted(kept)
                 assert len(kept) == _burnside(
                     t, lambda a: sum(v == w for v, w in a.items())), \
@@ -324,6 +335,55 @@ class TestOrbitPruning:
                                   "expected 7 (OEIS A000055)")
         # a restricted level is not gated
         assert len(trees(6, free_of=("P7",))) == 6
+
+
+def mask_orbits(generators, masks) -> set[frozenset[int]]:
+    """The orbits among `masks` of the group the generators generate."""
+    generators = list(generators)
+    orbits = set()
+    seen: set[int] = set()
+    for mask in masks:
+        if mask in seen:
+            continue
+        orbit, stack = {mask}, [mask]
+        while stack:
+            m = stack.pop()
+            for image in generators:
+                img = sum(1 << image[v] for v in range(len(image))
+                          if m >> v & 1)
+                if img not in orbit:
+                    orbit.add(img)
+                    stack.append(img)
+        seen |= orbit
+        orbits.add(frozenset(orbit))
+    return orbits
+
+
+class TestLevelGenerators:
+    @STREAMS
+    def test_generators_from_the_naming_labeling(self, monkeypatch, mode,
+                                                 free_of, max_n):
+        # each class keeps the generators its naming labeling found, mapped
+        # onto its representative: automorphisms of it, with the mask orbits
+        # of its own search; they are dropped once the level above is built
+        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        source = levels(mode, free_of, max_n)
+        for n in range(1, max_n + 1):
+            level = source(n)
+            if n > 1:
+                assert level.below._generators is None
+            masks = ([1 << u for u in range(n)]
+                     if mode is StreamMode.TREES else range(1, 1 << n))
+            for j, (_, g) in enumerate(level):
+                images = level.generators(j)
+                for image in images:
+                    assert sorted(image) == list(range(n))
+                    for u in range(n):
+                        row = sum(1 << image[v] for v in range(n)
+                                  if g.adj[u] >> v & 1)
+                        assert row == g.adj[image[u]], encode_graph6(g)
+                assert mask_orbits(images, masks) == \
+                    mask_orbits(own_generators(g), masks), encode_graph6(g)
 
 
 class TestAugmentationFilter:
@@ -355,7 +415,8 @@ class TestAugmentationFilter:
     def test_enumeration_labels_only_kept_candidates(self, monkeypatch):
         labeled = []
         monkeypatch.setattr(enumeration, "canonical_code",
-                            lambda g: labeled.append(g) or canonical_code(g))
+                            lambda g, **kw: labeled.append(g)
+                            or canonical_code(g, **kw))
         monkeypatch.setattr(enumeration, "_LEVELS", {})
         assert len(connected_graphs(7)) == CONNECTED_CLASS_COUNTS[7]
         calls = len(labeled)

@@ -26,11 +26,12 @@ from expodom.graphs import (
     set_distance,
     without_vertex,
 )
-from expodom.enumeration import _augment, connected_graphs
+from expodom.enumeration import _augment, connected_graphs, trees
+from expodom.patterns import catalog
 from conftest import FUZZ, cycle_graph, path_graph, \
     random_connected_graph, random_graph
 
-from oracles import plain_distance_oracle
+from oracles import plain_distance_oracle, search_oracle
 
 
 def _graph6_like(n: int):
@@ -91,7 +92,23 @@ class TestGraphInvariants:
         with pytest.raises(ValueError):
             from_edge_list(3, [(0, 3)])
         with pytest.raises(ValueError):
+            from_edge_list(3, [(-1, 0)])
+        with pytest.raises(ValueError):
             from_edge_list(3, [(1, 1)])
+
+    def test_internal_graphs_pass_the_validator(self, rng):
+        # the package's own constructions skip the checks; each one still
+        # gives rows the public constructor accepts
+        for n in range(1, 9):
+            g = random_graph(rng, n, 0.5)
+            order = list(range(n))
+            rng.shuffle(order)
+            built = [relabel(g, order), induced_subgraph(g, order[: n // 2]),
+                     without_vertex(g, order[0]), canonical_graph(g),
+                     decode_graph6(encode_graph6(g))]
+            built += [_augment(g, mask) for mask in range(1 << n)]
+            for h in built:
+                assert Graph(h.n, h.adj) == h, encode_graph6(g)
 
 
 class TestSurgery:
@@ -295,11 +312,13 @@ class TestGraph6:
     @given(st.one_of(st.text(), st.binary(), GRAPH6_LIKE))
     def test_decode_fuzz(self, text):
         # any input is refused with a graph6 error or decodes to a graph
-        # that survives a round trip
+        # that the validating constructor accepts and that survives a
+        # round trip
         try:
             g = decode_graph6(text)
         except (Graph6Error, SizeCapError):
             return
+        assert Graph(g.n, g.adj) == g
         assert decode_graph6(encode_graph6(g)) == g
 
 
@@ -351,6 +370,56 @@ class TestCanonical:
         assert digest.hexdigest() == (
             "3bd582446954b6c76ad180d72b4b560709df9b865556909a607acd7d74b9c944")
 
+    def test_search_matches_frozen_reference(self, rng):
+        # the labeling kernel against its earlier form: the same columns
+        # and the same generator sets, and the order it returns names the
+        # canonical form's vertices
+        corpus = [g for n in range(1, 8) for g in connected_graphs(n)]
+        corpus += [t for n in range(1, 13) for t in trees(n)]
+        corpus += [p.graph for p in catalog()]
+        for n in range(1, 17):
+            corpus += [random_graph(rng, n, p) for p in (0.15, 0.5, 0.85)]
+            corpus.append(from_edge_list(n, [(i, j) for j in range(n)
+                                             for i in range(j)]))
+            corpus.append(from_edge_list(n, []))
+            # two random halves with no edge between them
+            half = n // 2
+            corpus.append(from_edge_list(n, [
+                (i, j) for j in range(n) for i in range(j)
+                if (i < half) == (j < half) and rng.random() < 0.5]))
+        relabeled = []
+        for g in corpus:
+            order = list(range(g.n))
+            rng.shuffle(order)
+            relabeled.append(relabel(g, order))
+        assert len(corpus) > 2_000
+        for g in corpus + relabeled:
+            want: set[tuple[int, ...]] = set()
+            got: set[tuple[int, ...]] = set()
+            columns, order = _search(g.adj, got)
+            assert columns == search_oracle(g.adj, want), encode_graph6(g)
+            assert got == want, encode_graph6(g)
+            assert _search(g.adj)[0] == columns
+            assert relabel(g, order) == canonical_graph(g)
+
+    def test_canonical_generators_are_automorphisms_of_the_form(self, rng):
+        # generators asked of canonical_code belong to the canonical form,
+        # and generate the group its own search finds: equal vertex orbits
+        graphs = [random_graph(rng, n, p) for n in range(1, 11)
+                  for p in (0.2, 0.5, 0.8)]
+        graphs += [t for n in range(1, 10) for t in trees(n)]
+        for g in graphs:
+            mapped: set[tuple[int, ...]] = set()
+            code = canonical_code(g, generators=mapped)
+            assert code == canonical_code(g)
+            rep = decode_graph6(code)
+            for image in mapped:
+                assert relabel(rep, [image.index(i) for i in range(g.n)]) \
+                    == rep, encode_graph6(g)
+            own: set[tuple[int, ...]] = set()
+            _search(rep.adj, own)
+            assert _vertex_orbits(mapped, g.n) == _vertex_orbits(own, g.n)
+
     def test_search_generators_are_automorphisms(self, rng):
         graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
         graphs += [random_graph(rng, 9, p) for p in (0.2, 0.5, 0.8)
@@ -379,3 +448,22 @@ class TestCanonical:
                                   for i in range(j)])
         rep = canonical_graph(k12)
         assert rep.m == 66
+
+
+def _vertex_orbits(generators, n: int) -> set[frozenset[int]]:
+    """The orbits of the group the generators generate on 0..n-1."""
+    orbits = set()
+    seen: set[int] = set()
+    for v in range(n):
+        if v in seen:
+            continue
+        orbit, stack = {v}, [v]
+        while stack:
+            u = stack.pop()
+            for image in generators:
+                if image[u] not in orbit:
+                    orbit.add(image[u])
+                    stack.append(image[u])
+        seen |= orbit
+        orbits.add(frozenset(orbit))
+    return orbits

@@ -16,6 +16,7 @@ from expodom.enumeration import (
 )
 from expodom.graphs import (
     SizeCapError,
+    _search,
     canonical_code,
     decode_graph6,
     encode_graph6,
@@ -240,14 +241,17 @@ class TestConnectedCardRecursion:
         # (None, None) cannot lower a class's minimum
         labeled = []
         monkeypatch.setattr(enumeration, "canonical_code",
-                            lambda g: labeled.append(g) or canonical_code(g))
+                            lambda g, **kw: labeled.append(g)
+                            or canonical_code(g, **kw))
         monkeypatch.setattr(enumeration, "_LEVELS", {})
         SWEEPS["conjecture3"].run(7, store=ParamStore())
         calls = len(labeled)
         want = 1
         for n in range(1, 7):
             for parent in connected_graphs(n):
-                masks = list(enumeration._orbit_masks(parent,
+                generators: set[tuple[int, ...]] = set()
+                _search(parent.adj, generators)
+                masks = list(enumeration._orbit_masks(generators,
                                                       range(1, 1 << n)))
                 kept = sum(augmentation_filter_oracle(parent, mask)
                            for mask in masks)

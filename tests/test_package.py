@@ -66,8 +66,8 @@ TRACED_THEOREM1_6 = {
     # one candidate per Aut(parent) orbit of unblocked masks (134 -> 74),
     # then only those the augmentation filter keeps (74 -> 41, for 40
     # classes); every parent to order 5 is a member, so the sweep labels no
-    # rejected candidate (183 -> 150).  The parents' own searches call
-    # graphs._search, which is not traced
+    # rejected candidate (183 -> 150).  The parents' automorphism
+    # generators come from these labelings, so no search runs outside them
     "graphs.canonical.calls": 150,
     "enumeration.candidates": 41,
     # the restricted levels read per-parent extension tables, which the
