@@ -9,18 +9,16 @@ a connected graph of order k by adding one vertex with a nonempty
 neighborhood (delete any non-cut vertex to see this), and every tree arises
 from a tree by attaching a leaf.  Each parent is augmented along one
 neighbourhood mask per orbit of its automorphism group, since masks in one
-orbit give isomorphic children.  The group's generators come from the
-labeling that named the parent's class one level down, mapped onto its
-representative (`canonical_code(..., generators=...)`), so no parent is
-searched again for its group; a level keeps them, packed, until the level
-above has been built.  A canonical augmentation filter (`_keeps`)
-then rejects, before any labeling, each candidate whose new vertex is
-beaten by a non-cut vertex with a larger (degree, sorted neighbour degrees)
-invariant; every class still keeps at least one candidate.  The kept
-candidates are deduplicated by canonical code, and each level is kept in
-memory while the next is produced.  An unrestricted level's class count is
-checked against the published one (OEIS A001349, A000055) and a mismatch
-raises `CountGateError`.
+orbit give isomorphic children; the group's generators come from one
+labeling search of the parent, made when its level above is built.  A
+canonical augmentation filter (`_keeps`) then rejects, before any
+labeling, each candidate whose new vertex is beaten by a non-cut vertex
+with a larger (degree, sorted neighbour degrees) invariant; every class
+still keeps at least one candidate.  The kept candidates are deduplicated
+by canonical code, and each level is kept in memory while the next is
+produced.  An unrestricted level's class count is checked against the
+published one (OEIS A001349, A000055) and a mismatch raises
+`CountGateError`.
 
 A connected graph's parents are exactly the classes of its connected cards
 G-v, so a sweep reads its membership off them instead of labeling every
@@ -44,10 +42,9 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cache
-from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .graphs import Graph, SizeCapError, _is_cut, _trusted, \
+from .graphs import Graph, SizeCapError, _is_cut, _search, _trusted, \
     canonical_code, decode_graph6, is_connected, iter_bits
 from .graphs import canonical_graph  # kept for bench/tracer.py to patch
 from . import patterns
@@ -92,31 +89,19 @@ class Level(list):
 
     `below` is the level one order down, whose classes are the parents.
     `children(j)` gives the classes of parent j's connected one-vertex
-    extensions in the host class; `decks` inverts it.  `generators(j)`
-    gives class j's automorphism generators, kept from the labeling that
-    named it until the level above has been built.
+    extensions in the host class; `decks` inverts it.
     """
 
-    __slots__ = ("below", "_generators", "_records")
+    __slots__ = ("below", "_records")
 
     def __init__(self, pairs: Iterable[tuple[bytes, Graph]],
                  below: list[tuple[bytes, Graph]],
-                 records: list[tuple[tuple[bytes, ...], int]],
-                 generators: tuple[bytes, memoryview]):
+                 records: list[tuple[tuple[bytes, ...], int]]):
         super().__init__(pairs)
         self.below = below
-        # `_packed` generators; None once the level above is built
-        self._generators: tuple[bytes, memoryview] | None = generators
         # per parent: the codes of its kept candidates, and its rejected
         # masks as one set, bit m set for mask m
         self._records = records
-
-    def generators(self, j: int) -> list[bytes]:
-        """Generators of Aut of class j's representative, each the images
-        of its vertices in order."""
-        blob, offsets = self._generators
-        k = self[j][1].n
-        return [blob[i:i + k] for i in range(offsets[j], offsets[j + 1], k)]
 
     def children(self, j: int) -> tuple[bytes, ...]:
         """The codes of parent j's children, each class at least once.
@@ -210,11 +195,10 @@ def levels_from_graphs(graphs: Iterable[Graph], max_n: int,
 
 #: Every level built in this process, with its parent records, so later
 #: sweeps and streams reuse them.  Each level holds the one below through
-#: `below`, so this memo does not raise the peak; the records and the top
-#: level's generators do.  Peak RSS (CPython 3.11, x86-64 Linux): 27.2 MB
-#: for `verify --sweep conjecture3` (max-n 8), 23.9 MB for `enum --n 8`
-#: and 167.7 MB for `enum --n 9`, against 28.6-28.7, 25.8-25.9 and 191 MB
-#: with kept parents per class and rejected masks per parent.
+#: `below`, so this memo does not raise the peak; the records do.  Peak
+#: RSS (CPython 3.11, x86-64 Linux, two fresh runs each): 26.3-26.4 MB for
+#: `verify --sweep conjecture3` (max-n 8), 19.4 MB for `enum --n 8` and
+#: 143.9 MB for `enum --n 9`.
 _LEVELS: dict[tuple[StreamMode, frozenset[str], int], Level] = {}
 
 
@@ -227,16 +211,13 @@ def _level_pairs(mode: StreamMode, free_of: frozenset[str],
     if n == 1:
         single = _trusted((0,))
         # every catalog pattern has at least 3 vertices, so none filters it
-        level = Level([(canonical_code(single), single)], [], [],
-                      _packed([b""]))
+        level = Level([(canonical_code(single), single)], [], [])
         _LEVELS[key] = level
         return level
     below = _level_pairs(mode, free_of, n - 1)
-    # per class: its code, and its generators from the first candidate
-    # that reached it
-    classes: dict[bytes, tuple[bytes, bytes]] = {}
+    classes: dict[bytes, bytes] = {}
     records: list[tuple[tuple[bytes, ...], int]] = []
-    for j, (_, parent) in enumerate(below):
+    for _, parent in below:
         k = parent.n
         if mode is StreamMode.TREES:
             masks: Iterable[int] = (1 << u for u in range(k))
@@ -245,44 +226,28 @@ def _level_pairs(mode: StreamMode, free_of: frozenset[str],
             masks = range(1, 1 << k)
             reach = k
         blocked = patterns.extension_table(parent, free_of, reach)
+        generators: set[tuple[int, ...]] = set()
+        _search(parent.adj, generators)
         kept = []
         rejected = 0
-        for mask in _orbit_masks(below.generators(j),
+        for mask in _orbit_masks(generators,
                                  (m for m in masks if not blocked >> m & 1)):
             rows = _augmented_rows(parent.adj, mask)
             if _keeps(rows):
-                found: set[tuple[int, ...]] = set()
-                code = canonical_code(_trusted(rows), generators=found)
-                named = classes.get(code)
-                if named is None:
-                    named = classes[code] = (code,
-                                             b"".join(map(bytes, found)))
+                code = canonical_code(_trusted(rows))
                 # one bytes object per class, however often it is reached
-                kept.append(named[0])
+                kept.append(classes.setdefault(code, code))
             else:
                 rejected |= 1 << mask
         records.append((tuple(kept), rejected))
     codes = sorted(classes)
-    generators = _packed([classes[code][1] for code in codes])
     del classes  # freed before the graphs are decoded, to lower the peak
     level = Level([(code, decode_graph6(code)) for code in codes], below,
-                  records, generators)
+                  records)
     if not free_of:
         _check_count(mode, n, len(level))
     _LEVELS[key] = level
-    below._generators = None  # only this level's parents needed them
     return level
-
-
-def _packed(packs: list[bytes]) -> tuple[bytes, memoryview]:
-    """Per-class generators (images concatenated, one byte per vertex) as
-    one bytes object and offsets, class j's part from offsets[j] to
-    offsets[j + 1]: no object per class."""
-    # 4-byte unsigned offsets, without importing the array module
-    offsets = memoryview(bytearray(4 * len(packs) + 4)).cast("I")
-    for j, end in enumerate(accumulate(map(len, packs)), start=1):
-        offsets[j] = end
-    return b"".join(packs), offsets
 
 
 def _keeps(rows: tuple[int, ...]) -> bool:
@@ -322,10 +287,9 @@ def _orbit_masks(generators: Iterable[Sequence[int]],
     """The least mask of each orbit among `masks` of the group generated
     by `generators`, each a sequence whose entry v is the image of v.
 
-    For a parent, the generators are those of Aut(parent) that its level
-    kept from the labeling that named the class.  `masks` must be ascending
-    and closed under the group; masks in one orbit give isomorphic
-    children.
+    For a parent, the generators are those of Aut(parent) that one labeling
+    search of it found.  `masks` must be ascending and closed under the
+    group; masks in one orbit give isomorphic children.
     """
     # per generator: the bits it fixes, and (source bit, image bit) of the
     # vertices it moves

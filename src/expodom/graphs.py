@@ -51,7 +51,7 @@ def bits_list(mask: int) -> tuple[int, ...]:
     return tuple(iter_bits(mask))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph; rows must be symmetric and irreflexive."""
 
@@ -108,7 +108,7 @@ def _trusted(adj: tuple[int, ...]) -> Graph:
     Validation stays at `Graph(...)`, `from_edge_list` and graph6 parsing.
     """
     g = object.__new__(Graph)
-    # not through g.__dict__, which would give every graph a full dict
+    # the frozen dataclass's __setattr__ raises; set the slots directly
     object.__setattr__(g, "n", len(adj))
     object.__setattr__(g, "adj", adj)
     return g
@@ -352,9 +352,6 @@ def decode_graph6(text: str | bytes) -> Graph:
 # each node of that leaf's path the generators found move its vertex to
 # every vertex of that orbit: they generate the whole group (McKay and
 # Piperno, "Practical graph isomorphism, II", J. Symb. Comput. 60, 2014).
-# `canonical_code` maps them through the best leaf's order onto the
-# canonical form, so the labeling that names a class also gives its
-# representative's group, and the enumeration searches no parent again.
 
 def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
     """Split cells by neighbour counts into every cell until equitable.
@@ -441,26 +438,9 @@ def _search(adj: tuple[int, ...],
     return best or [], best_order
 
 
-def canonical_code(g: Graph, *,
-                   generators: set[tuple[int, ...]] | None = None) -> bytes:
-    """graph6 bytes of g's canonical form; equal iff isomorphic.
-
-    With a `generators` set, also adds generators of the automorphism group
-    of the canonical form (the graph the code decodes to), each a tuple
-    whose entry i is the image of i.
-    """
-    if generators is None:
-        return _pack(g.n, _search(g.adj)[0])
-    found: set[tuple[int, ...]] = set()
-    columns, order = _search(g.adj, found)
-    if found:
-        # the canonical form's vertex i is g's vertex order[i]
-        named = [0] * g.n
-        for i, v in enumerate(order):
-            named[v] = i
-        for image in found:
-            generators.add(tuple([named[image[v]] for v in order]))
-    return _pack(g.n, columns)
+def canonical_code(g: Graph) -> bytes:
+    """graph6 bytes of g's canonical form; equal iff isomorphic."""
+    return _pack(g.n, _search(g.adj)[0])
 
 
 def canonical_graph(g: Graph) -> Graph:

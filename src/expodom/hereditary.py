@@ -36,7 +36,6 @@ values.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
 from dataclasses import dataclass, field
@@ -127,6 +126,8 @@ class VerificationReport:
 
 
 def _config_hash(**config) -> str:
+    import hashlib  # loads OpenSSL: only a report's hash pays for it
+
     payload = {"package": "expodom", "version": __version__}
     payload.update(config)
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))

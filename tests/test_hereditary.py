@@ -241,8 +241,7 @@ class TestConnectedCardRecursion:
         # (None, None) cannot lower a class's minimum
         labeled = []
         monkeypatch.setattr(enumeration, "canonical_code",
-                            lambda g, **kw: labeled.append(g)
-                            or canonical_code(g, **kw))
+                            lambda g: labeled.append(g) or canonical_code(g))
         monkeypatch.setattr(enumeration, "_LEVELS", {})
         SWEEPS["conjecture3"].run(7, store=ParamStore())
         calls = len(labeled)

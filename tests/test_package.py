@@ -45,13 +45,14 @@ def test_package_imports_only_the_stdlib():
 
 def test_cli_import_defers_unused_modules():
     # a process pays for exact fractions only when it prints a weight
-    # table, and nothing imports a worker pool
+    # table, for hashlib (and OpenSSL) only when it hashes a report's
+    # config, and nothing imports a worker pool
     src = Path(__file__).resolve().parent.parent / "src"
     script = "\n".join([
         "import sys",
         f"sys.path.insert(0, {str(src)!r})",
         "import expodom.cli",
-        "print(sorted({'multiprocessing', 'fractions', 'decimal'}"
+        "print(sorted({'multiprocessing', 'fractions', 'decimal', 'hashlib'}"
         " & set(sys.modules)))",
     ])
     done = subprocess.run([sys.executable, "-c", script],
@@ -66,8 +67,8 @@ TRACED_THEOREM1_6 = {
     # one candidate per Aut(parent) orbit of unblocked masks (134 -> 74),
     # then only those the augmentation filter keeps (74 -> 41, for 40
     # classes); every parent to order 5 is a member, so the sweep labels no
-    # rejected candidate (183 -> 150).  The parents' automorphism
-    # generators come from these labelings, so no search runs outside them
+    # rejected candidate (183 -> 150).  The parents' own searches for their
+    # automorphism generators call the search directly and are not counted
     "graphs.canonical.calls": 150,
     "enumeration.candidates": 41,
     # the restricted levels read per-parent extension tables, which the
