@@ -24,7 +24,6 @@ from .graphs import (
     without_vertex,
 )
 from .domination import (
-    ParamKind,
     ParamResult,
     compute_all,
     constrained_distance,

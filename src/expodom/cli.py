@@ -18,7 +18,7 @@ from . import __version__
 from .cache import ResultsCache
 from .domination import compute_all, porous_weight_table, weight_table
 from .enumeration import CountGateError, connected_graphs, \
-    levels_from_graphs, read_graph6_stream, trees
+    read_graph6_stream, trees
 from .graphs import Graph, Graph6Error, SizeCapError, decode_graph6, \
     encode_graph6, from_edge_list
 from .hereditary import (
@@ -192,14 +192,10 @@ def _make_store(args) -> ParamStore:
 
 
 def cmd_verify(args) -> int:
-    spec = SWEEPS[args.sweep]
-    max_n = spec.default_max_n if args.max_n is None else args.max_n
+    graphs = _graphs(args.graphs) if args.graphs else None
     with closing(_make_store(args)) as store:
-        source = None
-        if args.graphs:
-            source = levels_from_graphs(_graphs(args.graphs), max_n,
-                                        spec.restriction, spec.stream)
-        report = _SWEEPS[args.sweep](max_n=max_n, store=store, source=source)
+        report = _SWEEPS[args.sweep](max_n=args.max_n, store=store,
+                                     graphs=graphs)
     print(report.to_json())
     return 0 if report.verified else 1
 

@@ -39,7 +39,6 @@ and the results cache check, compares independent searches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import TYPE_CHECKING, Iterable
 
 from .graphs import (
@@ -54,17 +53,10 @@ if TYPE_CHECKING:  # the weight tables import it when called
     from fractions import Fraction
 
 
-class ParamKind(Enum):
-    DOMINATION = "gamma"
-    EXPONENTIAL = "gamma_e"
-    POROUS_EXPONENTIAL = "gamma_e_star"
-
-
 @dataclass(frozen=True)
 class ParamResult:
     value: int
     certificate: tuple[int, ...]
-    kind: ParamKind
 
 
 def _as_mask(g: Graph, s: int | Iterable[int]) -> int:
@@ -287,26 +279,22 @@ def _porous_walk(g: Graph, chosen: list[int]):
     return lambda k, exact: walk(0, 0, k, exact)
 
 
-def _first(walk, chosen: list[int], kind: ParamKind,
-           k: int = 0) -> ParamResult:
+def _first(walk, chosen: list[int], k: int = 0) -> ParamResult:
     """Least k' >= k with an accepted k'-subset, and the first such subset."""
     while not walk(k):  # accepted by k' = n: the whole vertex set
         k += 1
-    return ParamResult(k, tuple(chosen), kind)
+    return ParamResult(k, tuple(chosen))
 
 
 def _exponential_pair(g: Graph) -> tuple[ParamResult, ParamResult]:
     """gamma_e and gamma_e_star from one porous walk, its rows built once."""
     chosen: list[int] = []
     walk = _porous_walk(g, chosen)
-    star = _first(lambda k: walk(k, False), chosen,
-                  ParamKind.POROUS_EXPONENTIAL)
+    star = _first(lambda k: walk(k, False), chosen)
     if is_exponential_dominating(g, chosen):
-        return ParamResult(star.value, star.certificate,
-                           ParamKind.EXPONENTIAL), star
+        return star, star  # gamma_e >= gamma_e_star: optimal for both
     chosen.clear()
-    return _first(lambda k: walk(k, True), chosen, ParamKind.EXPONENTIAL,
-                  star.value), star
+    return _first(lambda k: walk(k, True), chosen, star.value), star
 
 
 def _gamma_value(g: Graph) -> int:
@@ -315,7 +303,7 @@ def _gamma_value(g: Graph) -> int:
 
 def domination_number(g: Graph) -> ParamResult:
     chosen: list[int] = []
-    return _first(_dominating_walk(g, chosen), chosen, ParamKind.DOMINATION)
+    return _first(_dominating_walk(g, chosen), chosen)
 
 
 def exponential_domination_number(g: Graph) -> ParamResult:

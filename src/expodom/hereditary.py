@@ -21,8 +21,8 @@ and `ParamStore.fill_violators` takes, per class, the minimum over the
 memo entries of the parents that reach it.  Member parents cannot lower a
 minimum, so their rejected candidates are never labeled, and nothing is
 recursed over.  Every other input
-(`member`, `in_class`, `is_minimal_forbidden`, the startup gate, `--graphs`
-sources) is not closed under vertex deletion, so `ParamStore.violators`
+(`member`, `in_class`, `is_minimal_forbidden`, the startup gate, a sweep's
+`graphs`) is not closed under vertex deletion, so `ParamStore.violators`
 recurses over its connected cards and labels each one.  Cut vertices are
 found on g's rows (`graphs._is_cut`), so no disconnected card is built.
 
@@ -32,6 +32,11 @@ classes are hereditary, so a graph that contains a smaller violator of
 both kinds is outside both whatever its own parameters are.  `conjecture3`
 still solves every class, since its chain check reads each class's
 values.
+
+A store lives as long as its caller keeps it.  Every function here that
+takes an optional `store` makes a fresh one when given none, so such a
+call keeps nothing for the next; callers that share work (the CLI's
+`verify` and `minimal`, the tests) pass one store to every call.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from typing import Callable, Iterable, Optional
 from . import __version__
 from .cache import ResultsCache
 from .domination import parameter_values
-from .enumeration import Level, LevelSource, StreamMode, levels
+from .enumeration import Level, StreamMode, levels, levels_from_graphs
 from .graphs import (
     Graph,
     SizeCapError,
@@ -139,10 +144,11 @@ def _config_hash(**config) -> str:
 # ----------------------------------------------------------------------
 
 class ParamStore:
-    """Process memo of (gamma, gamma_e, gamma_e_star) per canonical code.
+    """Memo of (gamma, gamma_e, gamma_e_star) per canonical code.
 
     Optionally backed by an append-only results cache file; the membership
     memo lives here too so sweeps sharing a store share all derived work.
+    It lives as long as its owner; the package keeps none between calls.
     """
 
     def __init__(self, results_cache: Optional[ResultsCache] = None):
@@ -240,9 +246,6 @@ class ParamStore:
             self.results_cache.close()
 
 
-_DEFAULT_STORE = ParamStore()
-
-
 # ----------------------------------------------------------------------
 # Membership
 # ----------------------------------------------------------------------
@@ -262,7 +265,7 @@ def _components(g: Graph) -> list[Graph]:
 
 def equality_holds(g: Graph, store: Optional[ParamStore] = None) -> bool:
     """gamma(g) == gamma_e(g), computed per component and summed."""
-    store = store or _DEFAULT_STORE
+    store = store or ParamStore()
     values = [store.params(h) for h in _components(g)]
     return sum(v[0] for v in values) == sum(v[1] for v in values)
 
@@ -286,8 +289,7 @@ def in_class(g: Graph, kind: ClassKind = ClassKind.EXPONENTIAL,
              store: Optional[ParamStore] = None) -> MembershipResult:
     """Hereditary-equality membership with a minimum-order witness."""
     _check_membership_order(g.n)
-    store = store or _DEFAULT_STORE
-    hit = _violator_for_kind(g, kind, store)
+    hit = _violator_for_kind(g, kind, store or ParamStore())
     if hit is None:
         return MembershipResult(True, None)
     return MembershipResult(False, hit[1].decode("ascii"))
@@ -303,7 +305,7 @@ def is_minimal_forbidden(g: Graph, kind: ClassKind = ClassKind.EXPONENTIAL,
     _check_membership_order(g.n)
     if not is_connected(g) or g.n == 0:
         return False
-    hit = (store or _DEFAULT_STORE).violators(g)[_SLOT[kind]]
+    hit = (store or ParamStore()).violators(g)[_SLOT[kind]]
     return hit is not None and hit[0] == g.n
 
 
@@ -367,17 +369,26 @@ class SweepSpec:
 
     def run(self, max_n: Optional[int] = None,
             store: Optional[ParamStore] = None,
-            source: Optional[LevelSource] = None) -> VerificationReport:
-        """Check every graph of the stream (or of `source`) up to max_n."""
+            graphs: Optional[Iterable[Graph]] = None) -> VerificationReport:
+        """Check every graph of the host class up to max_n.
+
+        The graphs are the enumerated stream's or, when `graphs` is given,
+        those of it in the host class, with no stream cap; `graphs` is read
+        only after the order checks.  A call without a `store` gets a fresh
+        one and keeps nothing for the next call.
+        """
         if max_n is None:
             max_n = self.default_max_n
         # refuse a bad order, a cap or a pattern name before any work
         if max_n < 1:
             raise ValueError(f"max_n must be at least 1, got {max_n}")
         _check_membership_order(max_n)
-        if source is None:
+        if graphs is None:
             source = levels(self.stream, self.restriction, max_n)
-        store = store or _DEFAULT_STORE
+        else:
+            source = levels_from_graphs(graphs, max_n, self.restriction,
+                                        self.stream)
+        store = store or ParamStore()
         started = time.perf_counter()
         _obstruction_self_check(store)
         counts: dict[int, int] = {}
@@ -493,8 +504,7 @@ def minimal_spec(kind: ClassKind = ClassKind.EXPONENTIAL,
 
 def find_minimal_forbidden(max_n: int, kind: ClassKind = ClassKind.EXPONENTIAL,
                            restriction: Iterable[str] = (),
-                           store: Optional[ParamStore] = None,
-                           source: Optional[LevelSource] = None
+                           store: Optional[ParamStore] = None
                            ) -> VerificationReport:
     """All minimal forbidden graphs up to max_n, with their parameters."""
-    return minimal_spec(kind, restriction).run(max_n, store, source)
+    return minimal_spec(kind, restriction).run(max_n, store)

@@ -337,6 +337,16 @@ class TestVerify:
         assert out == ""
         assert err == "expodom: connected enumeration capped at order 9\n"
 
+    def test_graphs_file_default_order(self, capsys, tmp_path):
+        # the sweep's own default depth and host class: only the tree counts
+        path = tmp_path / "graphs.g6"
+        path.write_text("A_\nBw\n")  # P2 and K3
+        data = run_json(capsys, "verify", "--sweep", "corollary2",
+                        "--graphs", str(path))
+        assert data["max_n"] == 12
+        assert data["counts"] == {"1": 0, "2": 1, **{
+            str(n): 0 for n in range(3, 13)}}
+
     def test_graphs_file_has_no_stream_cap(self, capsys, tmp_path,
                                            monkeypatch):
         monkeypatch.setattr(enumeration, "_level_pairs", None)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import expodom
 from expodom import enumeration, hereditary
 from expodom.cache import ResultsCache
 from expodom.domination import parameter_values
@@ -510,7 +511,7 @@ class TestExternalSource:
         source = levels_from_graphs(graphs, max_n, spec.restriction,
                                     spec.stream)
         cards, decks = ParamStore(), ParamStore()
-        external = spec.run(max_n, store=cards, source=source)
+        external = spec.run(max_n, store=cards, graphs=graphs)
         internal = spec.run(max_n, store=decks)
         assert external.to_json(include_timing=False) == \
             internal.to_json(include_timing=False)
@@ -575,6 +576,33 @@ class TestUndecidedClassesOnly:
                 decided = all(hit is not None and hit[0] < n
                               for hit in fresh.violators(g, code))
                 assert fresh.known(code) != decided, code
+
+
+class TestStoreLifetime:
+    """A call without a store gets one for that call only."""
+
+    def test_store_less_calls_repeat_their_work(self, monkeypatch):
+        solved = []
+        monkeypatch.setattr(hereditary, "parameter_values",
+                            lambda g: solved.append(g) or parameter_values(g))
+        p7 = decode_graph6("F?LT?")
+        counts = []
+        for call in [lambda: verify_corollary2(max_n=11)] * 2 + \
+                [lambda: in_class(p7)] * 2:
+            solved.clear()
+            call()
+            counts.append(len(solved))
+        # P7 and its six connected induced subgraph classes, P1 to P6
+        assert counts == [SOLVED_COROLLARY2_11] * 2 + [7] * 2
+
+    def test_no_module_level_store(self):
+        modules = [value for value in vars(expodom).values()
+                   if isinstance(value, type(expodom))]
+        assert hereditary in modules
+        for module in modules:
+            stores = [name for name, value in vars(module).items()
+                      if isinstance(value, ParamStore)]
+            assert stores == [], module.__name__
 
 
 class TestParamStore:

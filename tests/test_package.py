@@ -1,10 +1,16 @@
 import ast
 import json
+import re
+import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import expodom
+from expodom.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_exports_and_readme_library_example():
@@ -22,7 +28,7 @@ def test_exports_and_readme_library_example():
 
 
 def test_package_imports_only_the_stdlib():
-    src = Path(__file__).resolve().parent.parent / "src" / "expodom"
+    src = ROOT / "src" / "expodom"
     paths = sorted(src.glob("*.py"))
     assert paths
     for path in paths:
@@ -47,7 +53,7 @@ def test_cli_import_defers_unused_modules():
     # a process pays for exact fractions only when it prints a weight
     # table, for hashlib (and OpenSSL) only when it hashes a report's
     # config, and nothing imports a worker pool
-    src = Path(__file__).resolve().parent.parent / "src"
+    src = ROOT / "src"
     script = "\n".join([
         "import sys",
         f"sys.path.insert(0, {str(src)!r})",
@@ -87,10 +93,9 @@ def test_bench_tracer_installs():
     # bench/tracer.py and bench/child.py patch package attributes by name;
     # a refactor that renames or bypasses one fails here, not only in
     # traced runs
-    root = Path(__file__).resolve().parent.parent
     script = "\n".join([
         "import contextlib, io, json, sys",
-        f"sys.path[:0] = [{str(root / 'bench')!r}, {str(root / 'src')!r}]",
+        f"sys.path[:0] = [{str(ROOT / 'bench')!r}, {str(ROOT / 'src')!r}]",
         "import tracer",
         "t = tracer.Tracer()",
         "tracer.install(t)",
@@ -114,3 +119,34 @@ def test_bench_tracer_installs():
         assert counts[name] == pinned, name
     assert counts["gate"] == 1
     assert counts["catalog"] == 1
+
+
+def test_readme_command_examples(capsys):
+    # every `$ expodom ...` block: its command's output, JSON compared as
+    # parsed JSON (the README folds short arrays), text compared exactly
+    readme = (ROOT / "README.md").read_text()
+    ran = []
+    for block in re.findall(r"```sh\n(\$ expodom .*?)```", readme, re.S):
+        command, _, shown = block.partition("\n")
+        argv = shlex.split(command[2:], comments=True)[1:]
+        assert main(argv) == 0, command
+        out = capsys.readouterr().out
+        if shown.startswith("{"):
+            assert json.loads(out) == json.loads(shown), command
+        else:
+            assert out == shown, command
+        ran.append(argv[0])
+    assert ran == ["params", "member", "match", "minimal"]
+
+
+def test_sources_parse_as_python_3_10():
+    # requires-python says 3.10: no newer syntax, and no compile warning
+    paths = [path for top in ("src", "tests", "bench")
+             for path in sorted((ROOT / top).rglob("*.py"))]
+    assert paths
+    for path in paths:
+        text = path.read_text()
+        ast.parse(text, str(path), feature_version=(3, 10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compile(text, str(path), "exec", dont_inherit=True)
