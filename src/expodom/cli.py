@@ -193,6 +193,8 @@ def _make_store(args) -> ParamStore:
 
 def cmd_verify(args) -> int:
     graphs = _graphs(args.graphs) if args.graphs else None
+    # refuse a bad order before the cache is read
+    SWEEPS[args.sweep].source(args.max_n, graphs)
     with closing(_make_store(args)) as store:
         report = _SWEEPS[args.sweep](max_n=args.max_n, store=store,
                                      graphs=graphs)
@@ -204,6 +206,7 @@ def cmd_minimal(args) -> int:
     free = _split_names(args.free) if args.free else ()
     kind = ClassKind.POROUS if args.porous else ClassKind.EXPONENTIAL
     spec = minimal_spec(kind, free)
+    spec.source(args.max_n)  # refuse a bad order before the cache is read
     with closing(_make_store(args)) as store:
         report = spec.run(args.max_n, store=store)
     found = report.extras["found"]

@@ -15,10 +15,10 @@ INFINITY), and a set vertex sees itself at distance 0.
 Every parameter comes from the same search: for k = 0, 1, 2, ... a
 depth-first walk over the k-subsets in lexicographic order, stopped at the
 first accepted set.  gamma's walk is cut by closed neighborhoods: by the
-vertices still able to dominate each undominated vertex, and by how many
-undominated vertices the remaining picks can cover.  gamma_e and
-gamma_e_star share one walk, cut by the porous bound.  The bound is sound
-for both parameters.  A constrained distance is never shorter than
+vertices still able to dominate each undominated vertex, and by a packing
+of undominated vertices no two of which one pick can dominate.  gamma_e
+and gamma_e_star share one walk, cut by the porous bound.  The bound is
+sound for both parameters.  A constrained distance is never shorter than
 the plain one, so the weight is at most the porous weight at every vertex
 and every exponential dominating set is porous dominating.  The porous
 weight is additive over the set, so when the chosen prefix plus the best
@@ -27,19 +27,19 @@ contributions the remaining picks could make still leaves some vertex below
 lexicographically least optimal set as its certificate.
 
 `compute_all` and `parameter_values` build that walk's rows once per graph
-and walk it for gamma_e_star from k = 0, then for gamma_e from
-k = gamma_e_star.  That is exact with no theorem behind it: both walks have
-the same tree and the same cuts, and gamma_e's leaf test is the porous
-test followed by the full weight check, so it accepts nothing below
-gamma_e_star.  gamma's walk shares nothing with them and still starts at
-k = 0, so that the chain gamma >= gamma_e >= gamma_e_star, which the sweeps
-and the results cache check, compares independent searches.
+from BFS layer masks and walk it once: its first porous dominating leaf is
+gamma_e_star's certificate, and it goes on from there to the first leaf
+that passes the full weight check, gamma_e's.  Every exact leaf is a
+porous leaf, so nothing before gamma_e_star's certificate is skipped.
+gamma's walk shares nothing with it and starts at k = 0, so that the chain
+gamma >= gamma_e >= gamma_e_star, which the sweeps and the results cache
+check, compares independent searches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .graphs import (
     Graph,
@@ -176,29 +176,29 @@ def is_porous_exponential_dominating(g: Graph, d: int | Iterable[int]) -> bool:
 # only grows as j grows, so it also ends the loop over j.
 #
 # gamma's walk carries the undominated set U as a bitmask.  It cuts a
-# branch when some vertex of U has no closed neighbour >= j, or when the
-# `remaining` largest of |N[w] & U| over the vertices w it may still pick
-# sum to less than |U|: each pick dominates at most its own count of U.
+# branch when some vertex of U has no closed neighbour >= j, and by a
+# packing: it keeps each vertex of U, in ascending order, whose candidate
+# dominators (its closed neighbours >= j) miss those of the vertices kept
+# before it.  No pick dominates two kept vertices, so when more are kept
+# than picks remain, no completion dominates.  The last pick must dominate
+# the least vertex of U, so only that vertex's candidates are tried.
 #
 # Exponential domination is not monotone under adding vertices to the set,
 # so no superset pruning is sound for it.  The porous weight bounds it
 # instead: a constrained distance is never shorter than the plain one, so
 # at every vertex the weight is at most the porous weight, and every
 # exponential dominating set is porous dominating.  The porous weight is
-# additive over the set.  So the walk for gamma_e and gamma_e_star cuts a
-# branch as soon as some vertex u has
+# additive over the set.  So one walk serves gamma_e and gamma_e_star; it
+# cuts a branch as soon as some vertex u has
 #
 #     porous(prefix, u) + remaining * best[j][u] < 2^n,
 #
 # where best[j][u] is the largest numerator any vertex >= j puts on u.  A
-# leaf left standing is porous dominating, which is all gamma_e_star asks;
-# gamma_e runs its full weight check there.
-#
-# One set of rows, `reach` and `best` serves both parameters, and the exact
-# walk starts where the porous one stopped (the module docstring says why).
-# There the porous certificate is the first porous dominating set; when it
-# passes the full check it is the first exact one too, and the exact walk
-# is skipped.
+# leaf left standing is porous dominating.  The first one is gamma_e_star's
+# certificate, and the walk goes on from it to the first leaf that also
+# passes the full weight check, gamma_e's.  That is exact with no theorem
+# behind it: every exact leaf is a porous leaf, and the walk meets the
+# leaves in the order a separate gamma_e walk would.
 
 def _dominating_walk(g: Graph, chosen: list[int]):
     n = g.n
@@ -213,15 +213,27 @@ def _dominating_walk(g: Graph, chosen: list[int]):
             return not undom
         if undom & ~reach[start]:
             return False
-        if remaining == 1:  # the last pick dominates all that is left
-            for v in range(start, n):
+        # U is not empty: the walk at k runs only once every walk below k
+        # has failed, so no prefix dominates
+        above = -1 << start  # the vertices still to pick from
+        if remaining == 1:
+            least = (undom & -undom).bit_length() - 1
+            for v in iter_bits(closed[least] & above):
                 if not undom & ~closed[v]:
                     chosen.append(v)
                     return True
             return False
-        covers = sorted(map(int.bit_count, map(undom.__and__, closed[start:])))
-        if sum(covers[-remaining:]) < undom.bit_count():
-            return False
+        kept = used = 0
+        rest = undom
+        while rest:
+            u = rest & -rest
+            rest ^= u
+            dominators = closed[u.bit_length() - 1] & above
+            if not dominators & used:
+                used |= dominators
+                kept += 1
+                if kept > remaining:
+                    return False
         for v in range(start, n - remaining + 1):
             if undom & ~reach[v]:
                 return False
@@ -234,67 +246,88 @@ def _dominating_walk(g: Graph, chosen: list[int]):
     return lambda k: walk(g.vertex_mask, 0, k)
 
 
-def _porous_walk(g: Graph, chosen: list[int]):
+def _porous_walk(g: Graph, chosen: list[int], leaf: Callable[[], bool]):
+    """A walk for each k that stops where `leaf` accepts a porous leaf."""
     n = g.n
-    one = 1 << n
     # Porous numerators are packed one per vertex into a lane of an int, so
     # adding a set vertex and testing all n bounds are a few int operations.
     # A lane never holds more than n * 2^(n+1) (n vertices, 2^(n+1) at most
-    # each), which leaves its top bit clear; `covered` biases every lane so
-    # that its top bit is set exactly when the lane is >= 2^n.
+    # each), which leaves its top bit clear.  The walk starts every lane at
+    # 2^(lane-1) - 2^n, so that its top bit is set exactly when the
+    # numerator is >= 2^n.
     lane = n + 2 + n.bit_length()
-
-    def pack(values) -> int:
-        return sum(x << (u * lane) for u, x in enumerate(values))
-
-    high = pack([1 << (lane - 1)] * n)
-    bias = high - pack([one] * n)
-
-    def covered(nums: int) -> bool:
-        return (nums + bias) & high == high
-
-    # rows[v][u]: the porous numerator that v alone puts on u
-    rows = [_numerators(g, 1 << v, True) for v in range(n)]
-    reach = [pack(row) for row in rows]
-    # best[j], lane u: the largest rows[v][u] over v >= j
+    ones = sum(1 << (u * lane) for u in range(n))
+    high = ones << (lane - 1)
+    # layers[d], lane u: the vertices at distance d from u, from a BFS out
+    # of every vertex at once.  Lane u of `(frontier >> w) & ones` is 1 when
+    # w is in u's frontier, and times adj[w] it puts w's row into lane u.
+    frontier = seen = sum(1 << (u * lane + u) for u in range(n))
+    layers = []
+    while frontier:
+        layers.append(frontier)
+        nxt = 0
+        for w in range(n):
+            nxt |= ((frontier >> w) & ones) * g.adj[w]
+        frontier = nxt & ~seen
+        seen |= frontier
+    # reach[v], lane u: 2^(n+1-d) with d the distance from v to u, the
+    # porous numerator v alone puts on u.  Distances are symmetric, so lane
+    # u of `(layers[d] >> v) & ones` says whether u is at distance d from v.
+    # best[j], lane u: the largest reach[v] lane u over v >= j, which is
+    # 2^(n+1-d) with d the distance from {j, ..., n-1} to u.
+    reach = [0] * n
     best = [0] * n
-    top = [0] * n
+    within = [0] * len(layers)  # lanes at distance d from some v >= j
     for j in range(n - 1, -1, -1):
-        top = list(map(max, top, rows[j]))
-        best[j] = pack(top)
+        closer = 0  # lanes nearer than d to some v >= j
+        for d, layer in enumerate(layers):
+            lanes = (layer >> j) & ones
+            reach[j] |= lanes << (n + 1 - d)
+            within[d] |= lanes
+            best[j] |= (within[d] & ~closer) << (n + 1 - d)
+            closer |= within[d]
+    bounds: list[list[int]] = []  # bounds[r][j]: r * best[j]
 
-    def walk(nums: int, start: int, remaining: int, exact: bool) -> bool:
+    def walk(nums: int, start: int, remaining: int) -> bool:
         if not remaining:
-            return covered(nums) and (
-                not exact or is_exponential_dominating(g, chosen))
+            return nums & high == high and leaf()
+        bound = bounds[remaining]
         for v in range(start, n - remaining + 1):
-            if not covered(nums + remaining * best[v]):
+            if (nums + bound[v]) & high != high:
                 return False
             chosen.append(v)
-            if walk(nums + reach[v], v + 1, remaining - 1, exact):
+            if walk(nums + reach[v], v + 1, remaining - 1):
                 return True
             chosen.pop()
         return False
 
-    return lambda k, exact: walk(0, 0, k, exact)
+    def walk_k(k: int) -> bool:
+        for r in range(len(bounds), k + 1):
+            bounds.append([r * b for b in best])
+        return walk(high - (ones << n), 0, k)
+
+    return walk_k
 
 
-def _first(walk, chosen: list[int], k: int = 0) -> ParamResult:
-    """Least k' >= k with an accepted k'-subset, and the first such subset."""
-    while not walk(k):  # accepted by k' = n: the whole vertex set
+def _first(walk, chosen: list[int]) -> ParamResult:
+    """Least k with an accepted k-subset, and the first such subset."""
+    k = 0
+    while not walk(k):  # accepted by k = n: the whole vertex set
         k += 1
     return ParamResult(k, tuple(chosen))
 
 
 def _exponential_pair(g: Graph) -> tuple[ParamResult, ParamResult]:
-    """gamma_e and gamma_e_star from one porous walk, its rows built once."""
+    """gamma_e and gamma_e_star from one porous walk."""
     chosen: list[int] = []
-    walk = _porous_walk(g, chosen)
-    star = _first(lambda k: walk(k, False), chosen)
-    if is_exponential_dominating(g, chosen):
-        return star, star  # gamma_e >= gamma_e_star: optimal for both
-    chosen.clear()
-    return _first(lambda k: walk(k, True), chosen, star.value), star
+    star: list[ParamResult] = []
+
+    def leaf() -> bool:
+        if not star:  # the first porous dominating set
+            star.append(ParamResult(len(chosen), tuple(chosen)))
+        return is_exponential_dominating(g, chosen)
+
+    return _first(_porous_walk(g, chosen, leaf), chosen), star[0]
 
 
 def _gamma_value(g: Graph) -> int:

@@ -50,7 +50,8 @@ from typing import Callable, Iterable, Optional
 from . import __version__
 from .cache import ResultsCache
 from .domination import parameter_values
-from .enumeration import Level, StreamMode, levels, levels_from_graphs
+from .enumeration import Level, LevelSource, StreamMode, levels, \
+    levels_from_graphs
 from .graphs import (
     Graph,
     SizeCapError,
@@ -367,27 +368,35 @@ class SweepSpec:
     config: dict = field(default_factory=dict)
     extras: dict[str, tuple] = field(default_factory=dict)
 
+    def source(self, max_n: Optional[int] = None,
+               graphs: Optional[Iterable[Graph]] = None
+               ) -> tuple[int, LevelSource]:
+        """The order to sweep to and its levels, refusing a bad order, a cap
+        or a pattern name before any work.
+
+        The levels are the enumerated stream's or, when `graphs` is given,
+        those of it in the host class, with no stream cap; nothing is built
+        and `graphs` is not read until a level is asked for.
+        """
+        if max_n is None:
+            max_n = self.default_max_n
+        if max_n < 1:
+            raise ValueError(f"max_n must be at least 1, got {max_n}")
+        _check_membership_order(max_n)
+        if graphs is None:
+            return max_n, levels(self.stream, self.restriction, max_n)
+        return max_n, levels_from_graphs(graphs, max_n, self.restriction,
+                                         self.stream)
+
     def run(self, max_n: Optional[int] = None,
             store: Optional[ParamStore] = None,
             graphs: Optional[Iterable[Graph]] = None) -> VerificationReport:
         """Check every graph of the host class up to max_n.
 
-        The graphs are the enumerated stream's or, when `graphs` is given,
-        those of it in the host class, with no stream cap; `graphs` is read
-        only after the order checks.  A call without a `store` gets a fresh
-        one and keeps nothing for the next call.
+        The graphs are those of `source(max_n, graphs)`.  A call without a
+        `store` gets a fresh one and keeps nothing for the next call.
         """
-        if max_n is None:
-            max_n = self.default_max_n
-        # refuse a bad order, a cap or a pattern name before any work
-        if max_n < 1:
-            raise ValueError(f"max_n must be at least 1, got {max_n}")
-        _check_membership_order(max_n)
-        if graphs is None:
-            source = levels(self.stream, self.restriction, max_n)
-        else:
-            source = levels_from_graphs(graphs, max_n, self.restriction,
-                                        self.stream)
+        max_n, source = self.source(max_n, graphs)
         store = store or ParamStore()
         started = time.perf_counter()
         _obstruction_self_check(store)

@@ -10,7 +10,9 @@ search machinery, apart from the all-masks level builder, which keeps the
 package's labeling and extension tables to check its orbit pruning alone.
 The labeling kernel's reference is its earlier form, frozen verbatim
 (`_refine`, `_search`): a faster kernel must return the same columns and
-the same generator sets.
+the same generator sets.  So is the exact solver's (`_dominating_walk`,
+`_porous_walk`, `_exponential_pair`): a faster solver must return the same
+values and the same certificates.
 """
 
 from __future__ import annotations
@@ -19,6 +21,11 @@ import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from expodom.domination import (
+    ParamResult,
+    _numerators,
+    is_exponential_dominating,
+)
 from expodom.graphs import (
     Graph,
     _column,
@@ -458,3 +465,114 @@ def search_oracle(adj: tuple[int, ...],
     """The frozen labeling search: the least leaf's graph6 columns, and
     with a `generators` set, the automorphisms it finds."""
     return _search(adj, generators)
+
+
+# ----------------------------------------------------------------------
+# The exact solver as it was before the packing cut, the single porous walk
+# and the layer-mask set-up, kept verbatim: the reference for the walks in
+# `domination`.
+# ----------------------------------------------------------------------
+
+def _dominating_walk(g: Graph, chosen: list[int]):
+    n = g.n
+    closed = [g.closed_neighborhood(v) for v in range(n)]
+    # reach[j]: every vertex that some pick from the vertices >= j dominates
+    reach = [0] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        reach[j] = reach[j + 1] | closed[j]
+
+    def walk(undom: int, start: int, remaining: int) -> bool:
+        if not remaining:
+            return not undom
+        if undom & ~reach[start]:
+            return False
+        if remaining == 1:  # the last pick dominates all that is left
+            for v in range(start, n):
+                if not undom & ~closed[v]:
+                    chosen.append(v)
+                    return True
+            return False
+        covers = sorted(map(int.bit_count, map(undom.__and__, closed[start:])))
+        if sum(covers[-remaining:]) < undom.bit_count():
+            return False
+        for v in range(start, n - remaining + 1):
+            if undom & ~reach[v]:
+                return False
+            chosen.append(v)
+            if walk(undom & ~closed[v], v + 1, remaining - 1):
+                return True
+            chosen.pop()
+        return False
+
+    return lambda k: walk(g.vertex_mask, 0, k)
+
+
+def _porous_walk(g: Graph, chosen: list[int]):
+    n = g.n
+    one = 1 << n
+    # Porous numerators are packed one per vertex into a lane of an int, so
+    # adding a set vertex and testing all n bounds are a few int operations.
+    # A lane never holds more than n * 2^(n+1) (n vertices, 2^(n+1) at most
+    # each), which leaves its top bit clear; `covered` biases every lane so
+    # that its top bit is set exactly when the lane is >= 2^n.
+    lane = n + 2 + n.bit_length()
+
+    def pack(values) -> int:
+        return sum(x << (u * lane) for u, x in enumerate(values))
+
+    high = pack([1 << (lane - 1)] * n)
+    bias = high - pack([one] * n)
+
+    def covered(nums: int) -> bool:
+        return (nums + bias) & high == high
+
+    # rows[v][u]: the porous numerator that v alone puts on u
+    rows = [_numerators(g, 1 << v, True) for v in range(n)]
+    reach = [pack(row) for row in rows]
+    # best[j], lane u: the largest rows[v][u] over v >= j
+    best = [0] * n
+    top = [0] * n
+    for j in range(n - 1, -1, -1):
+        top = list(map(max, top, rows[j]))
+        best[j] = pack(top)
+
+    def walk(nums: int, start: int, remaining: int, exact: bool) -> bool:
+        if not remaining:
+            return covered(nums) and (
+                not exact or is_exponential_dominating(g, chosen))
+        for v in range(start, n - remaining + 1):
+            if not covered(nums + remaining * best[v]):
+                return False
+            chosen.append(v)
+            if walk(nums + reach[v], v + 1, remaining - 1, exact):
+                return True
+            chosen.pop()
+        return False
+
+    return lambda k, exact: walk(0, 0, k, exact)
+
+
+def _first(walk, chosen: list[int], k: int = 0) -> ParamResult:
+    """Least k' >= k with an accepted k'-subset, and the first such subset."""
+    while not walk(k):  # accepted by k' = n: the whole vertex set
+        k += 1
+    return ParamResult(k, tuple(chosen))
+
+
+def _exponential_pair(g: Graph) -> tuple[ParamResult, ParamResult]:
+    """gamma_e and gamma_e_star from one porous walk, its rows built once."""
+    chosen: list[int] = []
+    walk = _porous_walk(g, chosen)
+    star = _first(lambda k: walk(k, False), chosen)
+    if is_exponential_dominating(g, chosen):
+        return star, star  # gamma_e >= gamma_e_star: optimal for both
+    chosen.clear()
+    return _first(lambda k: walk(k, True), chosen, star.value), star
+
+
+def solver_oracle(g: Graph) -> tuple[ParamResult, ParamResult, ParamResult]:
+    """The frozen solver's gamma, gamma_e and gamma_e_star, each with its
+    certificate."""
+    chosen: list[int] = []
+    return (_first(_dominating_walk(g, chosen), chosen),
+            *_exponential_pair(g))

@@ -337,6 +337,24 @@ class TestVerify:
         assert out == ""
         assert err == "expodom: connected enumeration capped at order 9\n"
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--sweep", "theorem1"),
+        ("minimal",),
+    ], ids=["verify", "minimal"])
+    @pytest.mark.parametrize("max_n, status, message", [
+        ("0", 2, "expodom: max_n must be at least 1, got 0\n"),
+        ("13", 4, "expodom: membership capped at order 12\n"),
+    ], ids=["zero", "membership_cap"])
+    def test_order_refused_before_cache_read(self, capsys, tmp_path, argv,
+                                             max_n, status, message):
+        # a bad line in the cache: reading it would warn on stderr
+        path = tmp_path / "cache.tsv"
+        path.write_text("not a record\n")
+        code, out, err = run(capsys, *argv, "--max-n", max_n,
+                             "--cache", str(path))
+        assert (code, out, err) == (status, "", message)
+        assert path.read_text() == "not a record\n"
+
     def test_graphs_file_default_order(self, capsys, tmp_path):
         # the sweep's own default depth and host class: only the tree counts
         path = tmp_path / "graphs.g6"

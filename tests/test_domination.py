@@ -23,6 +23,7 @@ from expodom.domination import (
 from expodom.enumeration import connected_graphs, trees
 from expodom.graphs import Graph, decode_graph6, encode_graph6, \
     from_edge_list, relabel
+from expodom.patterns import catalog
 from conftest import cycle_graph, path_graph, random_connected_graph, \
     random_graph
 
@@ -237,14 +238,14 @@ def _solved(results) -> list[tuple[int, tuple[int, ...]]]:
     return [(r.value, r.certificate) for r in results]
 
 
-#: Every tree to order 11 with gamma_e > gamma_e_star, so the exact walk
-#: runs past the level where the porous walk stopped.  No connected graph
-#: to order 7 has it.
+#: Every tree to order 11 with gamma_e > gamma_e_star, so the porous walk
+#: goes on past the level of gamma_e_star's certificate.  No connected
+#: graph to order 7 has it.
 PAST_POROUS = ("H?CaC?N", "I??G`@?`w", "I??G`B?@w", "J???GOO?~?_",
                "J???GOOGEF_", "J???GOOWCF_", "J???GOoo?F_", "J??G`@?_?N_")
 #: The smallest trees whose gamma_e_star certificate, as labeled here, is
-#: not exponential dominating although gamma_e = gamma_e_star: the exact
-#: walk finds a later set at the level where the porous walk stopped.
+#: not exponential dominating although gamma_e = gamma_e_star: the walk
+#: goes on from that certificate to a later set at the same level.
 REWALKED = ("G?CaC[", "H??G`BF", "H??GbAF")
 
 
@@ -347,6 +348,36 @@ class TestLexWalk:
             seen += 1
         assert seen == count
         assert digest.hexdigest() == expected
+
+
+def _near_tree(rng: random.Random, n: int) -> Graph:
+    """A random tree on n vertices plus 1-3 edges outside it."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    missing = [(i, j) for j in range(n) for i in range(j)
+               if (i, j) not in edges]
+    edges.update(rng.sample(missing, rng.randint(1, 3)))
+    return from_edge_list(n, sorted(edges))
+
+
+class TestFrozenSolver:
+    def test_matches_frozen_reference(self, rng):
+        # the walks against their form before the packing cut, the single
+        # porous walk and the layer-mask set-up: the same values and the
+        # same certificates for all three parameters
+        corpus = [g for n in range(1, 8) for g in connected_graphs(n)]
+        corpus += [t for n in range(1, 13) for t in trees(n)]
+        corpus += [p.graph for p in catalog()]
+        for n in range(9, 17):
+            corpus += [random_graph(rng, n, p) for p in (0.15, 0.5, 0.85)]
+        for n in range(13, 21):
+            for _ in range(2):
+                g = _near_tree(rng, n)
+                order = list(range(n))
+                rng.shuffle(order)
+                corpus += [g, relabel(g, order)]
+        for g in corpus:
+            assert compute_all(g) == oracles.solver_oracle(g), \
+                encode_graph6(g)
 
 
 def _random_order_20(rng: random.Random):
