@@ -34,9 +34,7 @@ from .domination import (
     is_porous_exponential_dominating,
     parameter_values,
     porous_exponential_domination_number,
-    porous_weight,
     porous_weight_table,
-    weight,
     weight_table,
 )
 from .patterns import (
@@ -65,20 +63,16 @@ from .enumeration import (
 from .cache import CacheRecord, ResultsCache
 from .hereditary import (
     ClassKind,
-    DEFAULT_MAX_N,
     MEMBERSHIP_ORDER_CAP,
     MembershipResult,
     ParamStore,
+    SWEEPS,
     TREE_OBSTRUCTION_NAMES,
     VerificationReport,
     equality_holds,
-    find_minimal_forbidden,
     in_class,
     is_minimal_forbidden,
-    probe_conjecture3,
-    verify_corollary1,
-    verify_corollary2,
-    verify_theorem1,
+    minimal_spec,
 )
 
 #: the names imported above, without the submodules that importing binds

@@ -12,11 +12,13 @@ of a shortest path from the set vertex v whose internal vertices all avoid
 the set.  Distinct set vertices therefore never see each other (distance
 INFINITY), and a set vertex sees itself at distance 0.
 
-Every parameter comes from the same search: for k = 0, 1, 2, ... a
+Every parameter comes from the same search: for k = 0, 1, ..., n a
 depth-first walk over the k-subsets in lexicographic order, stopped at the
-first accepted set.  gamma's walk is cut by closed neighborhoods: by the
-vertices still able to dominate each undominated vertex, and by a packing
-of undominated vertices no two of which one pick can dominate.  gamma_e
+first accepted set.  The whole vertex set is always accepted, so a walk
+that accepts nothing by k = n is a bug and raises RuntimeError.  gamma's
+walk is cut by closed neighborhoods: by the vertices still able to
+dominate each undominated vertex, and by a packing of undominated vertices
+no two of which one pick can dominate.  gamma_e
 and gamma_e_star share one walk, cut by the porous bound.  The bound is
 sound for both parameters.  A constrained distance is never shorter than
 the plain one, so the weight is at most the porous weight at every vertex
@@ -43,10 +45,10 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from .graphs import (
     Graph,
+    _as_mask,
     _distance,
     _layers,
     iter_bits,
-    mask_from,
 )
 
 if TYPE_CHECKING:  # the weight tables import it when called
@@ -59,18 +61,6 @@ class ParamResult:
     certificate: tuple[int, ...]
 
 
-def _as_mask(g: Graph, s: int | Iterable[int]) -> int:
-    mask = s if isinstance(s, int) else mask_from(s)
-    if mask >> g.n:
-        raise ValueError("vertex set outside the graph")
-    return mask
-
-
-def _check_vertex(g: Graph, u: int) -> None:
-    if not 0 <= u < g.n:
-        raise ValueError(f"vertex {u} outside the graph")
-
-
 # ----------------------------------------------------------------------
 # Distances seen from a set
 # ----------------------------------------------------------------------
@@ -79,11 +69,13 @@ def constrained_distance(g: Graph, d: int | Iterable[int], u: int, v: int):
     """Shortest u-v path length with v the only set vertex on the path.
 
     v must belong to d.  Returns 0 for u == v, INFINITY when u is a
-    different set vertex or when every path is blocked.
+    different set vertex or when every path is blocked.  No package code
+    calls it: the tests check the weights against it.
     """
     dmask = _as_mask(g, d)
-    _check_vertex(g, u)
-    _check_vertex(g, v)
+    for w in (u, v):
+        if not 0 <= w < g.n:
+            raise ValueError(f"vertex {w} outside the graph")
     if not (dmask >> v) & 1:
         raise ValueError(f"vertex {v} is not in the set")
     allowed = (g.vertex_mask & ~dmask) | (1 << v)
@@ -110,7 +102,7 @@ def _numerators(g: Graph, dmask: int, porous: bool) -> list[int]:
 
 
 def weight_table(g: Graph, d: int | Iterable[int]) -> list[Fraction]:
-    """`weight` at every vertex, from one pass over the set."""
+    """The exponential-domination weight the set d exerts on each vertex."""
     from fractions import Fraction
 
     scale = 1 << g.n
@@ -119,24 +111,13 @@ def weight_table(g: Graph, d: int | Iterable[int]) -> list[Fraction]:
 
 
 def porous_weight_table(g: Graph, d: int | Iterable[int]) -> list[Fraction]:
-    """`porous_weight` at every vertex, from one pass over the set."""
+    """The porous weight d exerts on each vertex: distances ignore
+    blocking by other set vertices."""
     from fractions import Fraction
 
     scale = 1 << g.n
     return [Fraction(num, scale)
             for num in _numerators(g, _as_mask(g, d), True)]
-
-
-def weight(g: Graph, d: int | Iterable[int], u: int) -> Fraction:
-    """Exponential-domination weight that the set d exerts on u."""
-    _check_vertex(g, u)
-    return weight_table(g, d)[u]
-
-
-def porous_weight(g: Graph, d: int | Iterable[int], u: int) -> Fraction:
-    """Porous variant: distances ignore blocking by other set vertices."""
-    _check_vertex(g, u)
-    return porous_weight_table(g, d)[u]
 
 
 # ----------------------------------------------------------------------
@@ -309,12 +290,12 @@ def _porous_walk(g: Graph, chosen: list[int], leaf: Callable[[], bool]):
     return walk_k
 
 
-def _first(walk, chosen: list[int]) -> ParamResult:
+def _first(walk, chosen: list[int], n: int) -> ParamResult:
     """Least k with an accepted k-subset, and the first such subset."""
-    k = 0
-    while not walk(k):  # accepted by k = n: the whole vertex set
-        k += 1
-    return ParamResult(k, tuple(chosen))
+    for k in range(n + 1):  # the whole vertex set is always accepted
+        if walk(k):
+            return ParamResult(k, tuple(chosen))
+    raise RuntimeError(f"a walk accepted no set of at most {n} vertices")
 
 
 def _exponential_pair(g: Graph) -> tuple[ParamResult, ParamResult]:
@@ -327,7 +308,7 @@ def _exponential_pair(g: Graph) -> tuple[ParamResult, ParamResult]:
             star.append(ParamResult(len(chosen), tuple(chosen)))
         return is_exponential_dominating(g, chosen)
 
-    return _first(_porous_walk(g, chosen, leaf), chosen), star[0]
+    return _first(_porous_walk(g, chosen, leaf), chosen, g.n), star[0]
 
 
 def _gamma_value(g: Graph) -> int:
@@ -336,7 +317,7 @@ def _gamma_value(g: Graph) -> int:
 
 def domination_number(g: Graph) -> ParamResult:
     chosen: list[int] = []
-    return _first(_dominating_walk(g, chosen), chosen)
+    return _first(_dominating_walk(g, chosen), chosen, g.n)
 
 
 def exponential_domination_number(g: Graph) -> ParamResult:

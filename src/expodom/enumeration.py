@@ -119,7 +119,8 @@ class Level(list):
 
     @property
     def decks(self) -> list[list[bytes]]:
-        """Per class, every parent whose augmentations give it, in order."""
+        """Per class, every parent whose augmentations give it, in order.
+        The sweeps need only `children`; the tests check decks with it."""
         found: dict[bytes, set[bytes]] = {code: set() for code, _ in self}
         for j, (pcode, _) in enumerate(self.below):
             for code in self.children(j):

@@ -47,10 +47,6 @@ def mask_from(vertices: Iterable[int]) -> int:
     return m
 
 
-def bits_list(mask: int) -> tuple[int, ...]:
-    return tuple(iter_bits(mask))
-
-
 @dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph; rows must be symmetric and irreflexive."""
@@ -102,6 +98,18 @@ class Graph:
         return f"Graph(n={self.n}, edges={tuple(self.edges())})"
 
 
+def _as_mask(g: Graph, vertices: int | Iterable[int]) -> int:
+    """The mask of a set of g's vertices, given as a mask or as vertices;
+    ValueError when it holds a vertex outside g, a negative one included."""
+    try:
+        mask = vertices if isinstance(vertices, int) else mask_from(vertices)
+    except ValueError:  # a negative vertex: a negative shift count
+        mask = -1
+    if mask >> g.n:  # a negative mask keeps its sign bits
+        raise ValueError("vertex set outside the graph")
+    return mask
+
+
 def _trusted(adj: tuple[int, ...]) -> Graph:
     """A Graph on rows the package built itself, symmetric and irreflexive
     by construction, so the public constructor's checks are skipped.
@@ -130,7 +138,8 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def relabel(g: Graph, order: Iterable[int]) -> Graph:
-    """Relabeled copy; position i of `order` holds the old vertex renamed i."""
+    """Relabeled copy; position i of `order` holds the old vertex renamed i.
+    No package code calls it: the tests vary labelings with it."""
     order = tuple(order)
     if sorted(order) != list(range(g.n)):
         raise ValueError("order is not a permutation of the vertices")
@@ -139,10 +148,7 @@ def relabel(g: Graph, order: Iterable[int]) -> Graph:
 
 def induced_subgraph(g: Graph, vertices: int | Iterable[int]) -> Graph:
     """Induced subgraph; kept vertices are renumbered in ascending order."""
-    mask = vertices if isinstance(vertices, int) else mask_from(vertices)
-    if mask >> g.n:
-        raise ValueError("vertex mask outside the graph")
-    return _renamed(g, bits_list(mask))
+    return _renamed(g, tuple(iter_bits(_as_mask(g, vertices))))
 
 
 def _renamed(g: Graph, kept: tuple[int, ...]) -> Graph:
@@ -193,13 +199,11 @@ def _distance(adj: tuple[int, ...], start: int, allowed: int, target: int):
 
 
 def set_distance(g: Graph, xs: int | Iterable[int], ys: int | Iterable[int]):
-    """Minimum distance between the two vertex sets; 0 if they intersect."""
-    xm = xs if isinstance(xs, int) else mask_from(xs)
-    ym = ys if isinstance(ys, int) else mask_from(ys)
+    """Minimum distance between the two vertex sets; 0 if they intersect.
+    No package code calls it: it is the plain distance, for callers."""
+    xm, ym = _as_mask(g, xs), _as_mask(g, ys)
     if xm == 0 or ym == 0:
         raise ValueError("set_distance needs two nonempty sets")
-    if (xm | ym) >> g.n:
-        raise ValueError("vertex mask outside the graph")
     return _distance(g.adj, xm, g.vertex_mask, ym)
 
 
@@ -444,5 +448,6 @@ def canonical_code(g: Graph) -> bytes:
 
 
 def canonical_graph(g: Graph) -> Graph:
-    """The canonical representative of g's isomorphism class."""
+    """The canonical representative of g's isomorphism class.
+    Kept, and imported twice, only because bench/tracer.py patches it."""
     return decode_graph6(canonical_code(g))

@@ -162,6 +162,8 @@ class ParamStore:
                 self._params[g6.encode("ascii")] = vals
 
     def known(self, code: bytes) -> bool:
+        """Whether this canonical code has values here; no package code
+        asks, the tests use it to see what was solved or restored."""
         return code in self._params
 
     def params_for_code(self, code: bytes, g: Graph) -> tuple[int, int, int]:
@@ -481,13 +483,6 @@ SWEEPS: dict[str, SweepSpec] = {spec.name: spec for spec in (
               _conjecture3_check, ("divergences", "chain_violations")),
 )}
 
-DEFAULT_MAX_N = {name: spec.default_max_n for name, spec in SWEEPS.items()}
-
-verify_theorem1 = SWEEPS["theorem1"].run
-verify_corollary1 = SWEEPS["corollary1"].run
-verify_corollary2 = SWEEPS["corollary2"].run
-probe_conjecture3 = SWEEPS["conjecture3"].run
-
 
 def minimal_spec(kind: ClassKind = ClassKind.EXPONENTIAL,
                  restriction: Iterable[str] = ()) -> SweepSpec:
@@ -509,11 +504,3 @@ def minimal_spec(kind: ClassKind = ClassKind.EXPONENTIAL,
     return SweepSpec("minimal_forbidden", StreamMode.CONNECTED,
                      tuple(restriction), kind.value, 7, check, ("found",),
                      config={"kind": kind.value})
-
-
-def find_minimal_forbidden(max_n: int, kind: ClassKind = ClassKind.EXPONENTIAL,
-                           restriction: Iterable[str] = (),
-                           store: Optional[ParamStore] = None
-                           ) -> VerificationReport:
-    """All minimal forbidden graphs up to max_n, with their parameters."""
-    return minimal_spec(kind, restriction).run(max_n, store)

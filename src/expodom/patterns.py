@@ -149,6 +149,7 @@ def verify_catalog() -> None:
 
     Each of P7, C7, F1..F5 must have domination number 3 and exponential
     domination number 2.  Raises GateError if a transcription slipped.
+    It stays apart from the sweeps' gate because bench/tracer.py patches it.
     """
     catalog()
     for name in OBSTRUCTION_NAMES:
@@ -324,7 +325,8 @@ def _meetings(host: Graph, names: Iterable[str], skip: int,
 
 
 def is_free_with_new_vertex(host: Graph, names: Iterable[str], v: int) -> bool:
-    """True iff no named pattern has an induced embedding through vertex v."""
+    """True iff no named pattern has an induced embedding through vertex v.
+    No package code calls it; it stays because bench/tracer.py patches it."""
     if not 0 <= v < host.n:
         raise ValueError("vertex v outside the graph")
     row = host.adj[v]

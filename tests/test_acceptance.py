@@ -19,8 +19,8 @@ from expodom.domination import (
     domination_number,
     exponential_domination_number,
     parameter_values,
-    porous_weight,
-    weight,
+    porous_weight_table,
+    weight_table,
 )
 from expodom.enumeration import connected_graphs
 from expodom.graphs import (
@@ -30,13 +30,11 @@ from expodom.graphs import (
     is_connected,
 )
 from expodom.hereditary import (
+    SWEEPS,
     ClassKind,
     ParamStore,
     in_class,
     is_minimal_forbidden,
-    probe_conjecture3,
-    verify_corollary2,
-    verify_theorem1,
 )
 from expodom.patterns import OBSTRUCTION_NAMES, catalog, find_induced, pattern
 from conftest import cycle_graph, path_graph, random_connected_graph, \
@@ -84,7 +82,7 @@ def test_criterion_1_inequality_chain_exhaustive(store):
 def test_criterion_2_restricted_equivalence_sweep(store):
     with criterion(2, "membership equals obstruction-freeness, "
                       "restricted hosts n <= 9"):
-        report = verify_theorem1(max_n=9, store=store)
+        report = SWEEPS["theorem1"].run(max_n=9, store=store)
         assert report.verified
         assert report.counterexamples == []
         assert report.counts == THEOREM1_STREAM_COUNTS
@@ -93,7 +91,7 @@ def test_criterion_2_restricted_equivalence_sweep(store):
 def test_criterion_3_tree_equivalence_sweep(store):
     with criterion(3, "tree membership equals path/caterpillar-freeness, "
                       "n <= 12"):
-        report = verify_corollary2(max_n=12, store=store)
+        report = SWEEPS["corollary2"].run(max_n=12, store=store)
         assert report.verified
         assert report.counterexamples == []
         assert report.counts == TREE_COUNTS
@@ -114,7 +112,7 @@ def test_criterion_4_obstruction_catalog_self_check(store, monkeypatch):
         with monkeypatch.context() as mp:
             mp.setattr("expodom.patterns.pattern", lambda name: fake)
             with pytest.raises(AssertionError):
-                verify_corollary2(max_n=3, store=ParamStore())
+                SWEEPS["corollary2"].run(max_n=3, store=ParamStore())
 
         not_minimal = []
         for name in OBSTRUCTION_NAMES:
@@ -144,10 +142,10 @@ def test_criterion_5_spot_values_and_weight_laws(store):
             g = random_connected_graph(rng, rng.randrange(2, 9))
             d = set(rng.sample(range(g.n), rng.randrange(1, g.n + 1)))
             u = rng.choice(sorted(d))
-            assert weight(g, d, u) == 2
+            assert weight_table(g, d)[u] == 2
             for v in range(g.n):
                 if v not in d and any((g.adj[v] >> x) & 1 for x in d):
-                    assert weight(g, d, v) >= 1
+                    assert weight_table(g, d)[v] >= 1
 
 
 def test_criterion_6_solver_and_matcher_oracle_equivalence(store):
@@ -169,7 +167,8 @@ def test_criterion_6_solver_and_matcher_oracle_equivalence(store):
                     for v in d:
                         assert constrained_distance(g, d, u, v) == \
                             oracles.dist_constrained_oracle(g, d, u, v)
-                    assert weight(g, d, u) == oracles.weight_oracle(g, d, u)
+                    assert weight_table(g, d)[u] == \
+                        oracles.weight_oracle(g, d, u)
                     pairs += 1
         assert pairs >= 1000
 
@@ -207,8 +206,8 @@ def test_criterion_7_weight_monotonicity_contrast():
     with criterion(7, "blocking weight can drop when the set grows; porous "
                       "weight never does"):
         star = from_edge_list(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-        before = weight(star, {1, 2, 3}, 4)
-        after = weight(star, {0, 1, 2, 3}, 4)
+        before = weight_table(star, {1, 2, 3})[4]
+        after = weight_table(star, {0, 1, 2, 3})[4]
         assert before == Fraction(3, 2) and after == 1
         assert after < before
 
@@ -218,14 +217,15 @@ def test_criterion_7_weight_monotonicity_contrast():
             d = set(rng.sample(range(g.n), rng.randrange(1, g.n)))
             extra = rng.choice([v for v in range(g.n) if v not in d])
             u = rng.randrange(g.n)
-            assert porous_weight(g, d | {extra}, u) >= porous_weight(g, d, u)
+            assert porous_weight_table(g, d | {extra})[u] >= \
+                porous_weight_table(g, d)[u]
 
 
 def test_criterion_8_class_comparison_probe(store):
     with criterion(8, "class-comparison probe n <= 8 is deterministic with "
                       "no chain violations"):
-        first = probe_conjecture3(max_n=8, store=store)
-        second = probe_conjecture3(max_n=8, store=store)
+        first = SWEEPS["conjecture3"].run(max_n=8, store=store)
+        second = SWEEPS["conjecture3"].run(max_n=8, store=store)
         assert first.to_json(include_timing=False) == \
             second.to_json(include_timing=False)
         assert first.counts == CONNECTED_COUNTS

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from expodom.domination import (
+    _first,
     compute_all,
     constrained_distance,
     domination_number,
@@ -15,9 +16,7 @@ from expodom.domination import (
     is_porous_exponential_dominating,
     parameter_values,
     porous_exponential_domination_number,
-    porous_weight,
     porous_weight_table,
-    weight,
     weight_table,
 )
 from expodom.enumeration import connected_graphs, trees
@@ -82,7 +81,7 @@ class TestWeights:
             g = random_connected_graph(rng, rng.randrange(2, 8))
             d = set(rng.sample(range(g.n), rng.randrange(1, g.n + 1)))
             u = rng.choice(sorted(d))
-            assert weight(g, d, u) == 2
+            assert weight_table(g, d)[u] == 2
 
     def test_neighbor_of_set_weighs_at_least_one(self, rng):
         for _ in range(60):
@@ -91,7 +90,7 @@ class TestWeights:
             outside = [u for u in range(g.n) if u not in d
                        and any((g.adj[u] >> v) & 1 for v in d)]
             for u in outside:
-                assert weight(g, d, u) >= 1
+                assert weight_table(g, d)[u] >= 1
 
     def test_matches_oracle(self, rng):
         # random_graph may be disconnected: some vertices no walk reaches
@@ -99,8 +98,8 @@ class TestWeights:
             g = draw(rng, rng.randrange(2, 7))
             d = set(rng.sample(range(g.n), rng.randrange(1, g.n + 1)))
             u = rng.randrange(g.n)
-            assert weight(g, d, u) == oracles.weight_oracle(g, d, u)
-            assert porous_weight(g, d, u) == \
+            assert weight_table(g, d)[u] == oracles.weight_oracle(g, d, u)
+            assert porous_weight_table(g, d)[u] == \
                 oracles.porous_weight_oracle(g, d, u)
 
     def test_porous_dominates_constrained(self, rng):
@@ -115,9 +114,8 @@ class TestWeights:
 
     @pytest.mark.parametrize("u", [-1, 4])
     @pytest.mark.parametrize("query", [
-        weight, porous_weight,
         lambda g, d, u: constrained_distance(g, d, u, 0),
-    ], ids=["weight", "porous_weight", "constrained_distance"])
+    ], ids=["constrained_distance"])
     def test_rejects_vertex_outside_graph(self, query, u):
         # negative indices must not wrap round to the last vertices
         with pytest.raises(ValueError, match=f"vertex {u} outside"):
@@ -130,8 +128,8 @@ class TestNonMonotonicity:
         # fourth leaf's weight from 3/2 to 1 because the center now
         # blocks every leaf-to-leaf path.
         star = from_edge_list(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
-        before = weight(star, {1, 2, 3}, 4)
-        after = weight(star, {0, 1, 2, 3}, 4)
+        before = weight_table(star, {1, 2, 3})[4]
+        after = weight_table(star, {0, 1, 2, 3})[4]
         assert before == Fraction(3, 2)
         assert after == 1
         assert after < before
@@ -142,7 +140,8 @@ class TestNonMonotonicity:
             d = set(rng.sample(range(g.n), rng.randrange(1, g.n)))
             extra = rng.choice([v for v in range(g.n) if v not in d])
             u = rng.randrange(g.n)
-            assert porous_weight(g, d | {extra}, u) >= porous_weight(g, d, u)
+            assert porous_weight_table(g, d | {extra})[u] >= \
+                porous_weight_table(g, d)[u]
 
 
 class TestPredicates:
@@ -303,6 +302,14 @@ class TestLexWalk:
                 for g in family(n):
                     assert parameter_values(g) == tuple(
                         r.value for r in compute_all(g)), encode_graph6(g)
+
+    def test_rejecting_walk_raises(self):
+        # the whole vertex set is always accepted, so a walk that rejects
+        # every k up to the order is a bug: it must fail, not loop
+        asked = []
+        with pytest.raises(RuntimeError):
+            _first(lambda k: asked.append(k) or False, [], 4)
+        assert asked == [0, 1, 2, 3, 4]
 
     def test_empty_graph(self):
         empty = Graph(0, ())

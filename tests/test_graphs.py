@@ -27,6 +27,8 @@ from expodom.graphs import (
     set_distance,
     without_vertex,
 )
+from expodom.domination import constrained_distance, is_dominating, \
+    is_exponential_dominating, porous_weight_table, weight_table
 from expodom.enumeration import _augment, connected_graphs, trees
 from expodom.patterns import catalog
 from conftest import FUZZ, cycle_graph, path_graph, \
@@ -174,6 +176,24 @@ class TestSurgery:
     def test_induced_mask_bounds(self):
         with pytest.raises(ValueError):
             induced_subgraph(path_graph(3), 0b1000)
+
+    @pytest.mark.parametrize("bad", [0b1000, -1, [3], [0, -1]],
+                             ids=["mask", "negative_mask", "vertex",
+                                  "negative_vertex"])
+    def test_every_vertex_set_is_parsed_alike(self, bad):
+        # one parser turns a mask or vertices into a set, for subgraphs,
+        # distances, weights and predicates: each refuses the same sets
+        p3 = path_graph(3)
+        for take in (lambda s: induced_subgraph(p3, s),
+                     lambda s: set_distance(p3, s, [0]),
+                     lambda s: set_distance(p3, [0], s),
+                     lambda s: constrained_distance(p3, s, 0, 0),
+                     lambda s: weight_table(p3, s),
+                     lambda s: porous_weight_table(p3, s),
+                     lambda s: is_dominating(p3, s),
+                     lambda s: is_exponential_dominating(p3, s)):
+            with pytest.raises(ValueError, match="vertex set outside"):
+                take(bad)
 
 
 class TestDistances:

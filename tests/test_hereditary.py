@@ -28,19 +28,14 @@ from expodom.graphs import (
 )
 from expodom.hereditary import (
     ClassKind,
-    DEFAULT_MAX_N,
     MEMBERSHIP_ORDER_CAP,
     SWEEPS,
     ParamStore,
     _obstruction_self_check,
     equality_holds,
-    find_minimal_forbidden,
     in_class,
     is_minimal_forbidden,
-    probe_conjecture3,
-    verify_corollary1,
-    verify_corollary2,
-    verify_theorem1,
+    minimal_spec,
 )
 from expodom.patterns import (
     OBSTRUCTION_NAMES,
@@ -333,14 +328,14 @@ class TestMinimalForbidden:
                                         ClassKind.EXPONENTIAL, store)
 
     def test_restricted_search_up_to_six(self, store):
-        report = find_minimal_forbidden(6, ClassKind.EXPONENTIAL,
-                                        RESTRICTION_NAMES, store=store)
+        report = minimal_spec(ClassKind.EXPONENTIAL,
+                              RESTRICTION_NAMES).run(6, store)
         found = {rec["graph6"] for rec in report.extras["found"]}
         assert found == {CODES["F1"]}
 
     def test_restricted_search_up_to_seven(self, store):
-        report = find_minimal_forbidden(7, ClassKind.EXPONENTIAL,
-                                        RESTRICTION_NAMES, store=store)
+        report = minimal_spec(ClassKind.EXPONENTIAL,
+                              RESTRICTION_NAMES).run(7, store)
         found = {rec["graph6"] for rec in report.extras["found"]}
         assert found == MINIMAL_SIX
         for rec in report.extras["found"]:
@@ -348,8 +343,7 @@ class TestMinimalForbidden:
                 (3, 2, 2)
 
     def test_unrestricted_search_up_to_seven(self, store):
-        report = find_minimal_forbidden(7, ClassKind.EXPONENTIAL, (),
-                                        store=store)
+        report = minimal_spec(ClassKind.EXPONENTIAL, ()).run(7, store)
         found = {rec["graph6"] for rec in report.extras["found"]}
         assert found == MINIMAL_SIX | EXTRA_MINIMAL_7
         for rec in report.extras["found"]:
@@ -357,21 +351,20 @@ class TestMinimalForbidden:
                 (3, 2, 2)
 
     def test_porous_search_agrees_up_to_seven(self, store):
-        exp = find_minimal_forbidden(7, ClassKind.EXPONENTIAL, (),
-                                     store=store)
-        por = find_minimal_forbidden(7, ClassKind.POROUS, (), store=store)
+        exp = minimal_spec(ClassKind.EXPONENTIAL, ()).run(7, store)
+        por = minimal_spec(ClassKind.POROUS, ()).run(7, store)
         assert {r["graph6"] for r in exp.extras["found"]} == \
             {r["graph6"] for r in por.extras["found"]}
 
     def test_order_cap(self, store):
         with pytest.raises(SizeCapError):
-            find_minimal_forbidden(MEMBERSHIP_ORDER_CAP + 1,
-                                   ClassKind.EXPONENTIAL, (), store=store)
+            minimal_spec(ClassKind.EXPONENTIAL, ()).run(
+                MEMBERSHIP_ORDER_CAP + 1, store)
 
 
 class TestSweeps:
     def test_theorem1_small(self, store):
-        report = verify_theorem1(max_n=7, store=store)
+        report = SWEEPS["theorem1"].run(max_n=7, store=store)
         assert report.verified
         assert report.counterexamples == []
         assert report.counts == {1: 1, 2: 1, 3: 2, 4: 4, 5: 9, 6: 23, 7: 57}
@@ -379,18 +372,18 @@ class TestSweeps:
         assert report.stream == "connected"
 
     def test_corollary1_small(self, store):
-        report = verify_corollary1(max_n=7, store=store)
+        report = SWEEPS["corollary1"].run(max_n=7, store=store)
         assert report.verified
         assert report.counts == {1: 1, 2: 1, 3: 1, 4: 3, 5: 5, 6: 13, 7: 34}
 
     def test_corollary2_small(self, store):
-        report = verify_corollary2(max_n=9, store=store)
+        report = SWEEPS["corollary2"].run(max_n=9, store=store)
         assert report.verified
         assert report.counts[9] == 47
         assert report.stream == "trees"
 
     def test_conjecture3_probe(self, store):
-        report = probe_conjecture3(max_n=6, store=store)
+        report = SWEEPS["conjecture3"].run(max_n=6, store=store)
         assert report.verified
         assert report.kind == "both"
         assert report.extras["divergences"] == []
@@ -407,36 +400,36 @@ class TestSweeps:
                 return _fn(*args)
 
             monkeypatch.setattr(hereditary, name, counted)
-        assert verify_theorem1(max_n=8, store=fresh).verified
+        assert SWEEPS["theorem1"].run(max_n=8, store=fresh).verified
         assert calls == {}
 
     def test_default_depths_are_sane(self):
-        assert DEFAULT_MAX_N["corollary2"] > DEFAULT_MAX_N["theorem1"]
-        assert all(n <= MEMBERSHIP_ORDER_CAP
-                   for n in DEFAULT_MAX_N.values())
+        assert SWEEPS["corollary2"].default_max_n > \
+            SWEEPS["theorem1"].default_max_n
+        assert all(spec.default_max_n <= MEMBERSHIP_ORDER_CAP
+                   for spec in SWEEPS.values())
 
 
 #: first 16 hex digits of the SHA-256 of to_json(include_timing=False), and
 #: the config hash, of reports produced before the sweeps shared one loop
 PINNED_REPORTS = {
-    "theorem1": (lambda st: verify_theorem1(7, store=st),
+    "theorem1": (lambda st: SWEEPS["theorem1"].run(7, store=st),
                  "bc2a16bcfa5ea6a7", "9a3cebfa14f27742"),
-    "corollary1": (lambda st: verify_corollary1(7, store=st),
+    "corollary1": (lambda st: SWEEPS["corollary1"].run(7, store=st),
                    "78f5b9e4b6cb94ff", "82a7d9c4752e0ebc"),
-    "corollary2": (lambda st: verify_corollary2(9, store=st),
+    "corollary2": (lambda st: SWEEPS["corollary2"].run(9, store=st),
                    "3874115556bc24fb", "53f243f6b35736c5"),
-    "conjecture3": (lambda st: probe_conjecture3(6, store=st),
+    "conjecture3": (lambda st: SWEEPS["conjecture3"].run(6, store=st),
                     "a2e246f790675e2b", "beeb98296d0325fd"),
     "minimal_exponential": (
-        lambda st: find_minimal_forbidden(7, ClassKind.EXPONENTIAL,
-                                          store=st),
+        lambda st: minimal_spec(ClassKind.EXPONENTIAL).run(7, st),
         "9aec93c6f3e79da1", "0b2bdd822ea177be"),
     "minimal_porous": (
-        lambda st: find_minimal_forbidden(7, ClassKind.POROUS, store=st),
+        lambda st: minimal_spec(ClassKind.POROUS).run(7, st),
         "2cb67a311993108f", "76d25f51684fd911"),
     "minimal_restricted": (
-        lambda st: find_minimal_forbidden(7, ClassKind.EXPONENTIAL,
-                                          RESTRICTION_NAMES, store=st),
+        lambda st: minimal_spec(ClassKind.EXPONENTIAL,
+                                RESTRICTION_NAMES).run(7, st),
         "dca520f835432608", "8d194a0792d6b62c"),
 }
 
@@ -451,20 +444,20 @@ class TestReports:
         assert report.config_hash == config_hash
 
     def test_deterministic_without_timing(self, store):
-        a = verify_corollary2(max_n=8, store=store)
-        b = verify_corollary2(max_n=8, store=store)
+        a = SWEEPS["corollary2"].run(max_n=8, store=store)
+        b = SWEEPS["corollary2"].run(max_n=8, store=store)
         assert a.to_json(include_timing=False) == \
             b.to_json(include_timing=False)
 
     def test_config_hash_depends_on_inputs(self, store):
-        a = verify_corollary2(max_n=7, store=store)
-        b = verify_corollary2(max_n=8, store=store)
-        c = verify_corollary2(max_n=7, store=store)
+        a = SWEEPS["corollary2"].run(max_n=7, store=store)
+        b = SWEEPS["corollary2"].run(max_n=8, store=store)
+        c = SWEEPS["corollary2"].run(max_n=7, store=store)
         assert a.config_hash != b.config_hash
         assert a.config_hash == c.config_hash
 
     def test_json_shape(self, store):
-        report = verify_corollary2(max_n=7, store=store)
+        report = SWEEPS["corollary2"].run(max_n=7, store=store)
         data = json.loads(report.to_json())
         assert data["verified"] is True
         assert data["counts"]["7"] == 11
@@ -528,9 +521,9 @@ class TestExternalSource:
         assert len(source(6)) == 111
 
 
-#: `hereditary.parameter_values` calls of a serial `verify_corollary2(11)` on
-#: a fresh store, the startup gate's included: a class is solved only when
-#: its parents leave a kind undecided (449 when every class was solved)
+#: `hereditary.parameter_values` calls of a serial corollary2 sweep to order
+#: 11 on a fresh store, the startup gate's included: a class is solved only
+#: when its parents leave a kind undecided (449 when every class was solved)
 SOLVED_COROLLARY2_11 = 73
 
 
@@ -567,7 +560,7 @@ class TestUndecidedClassesOnly:
         monkeypatch.setattr(hereditary, "parameter_values",
                             lambda g: solved.append(g) or parameter_values(g))
         fresh = ParamStore()
-        assert verify_corollary2(max_n=11, store=fresh).verified
+        assert SWEEPS["corollary2"].run(max_n=11, store=fresh).verified
         assert len(solved) == SOLVED_COROLLARY2_11
         source = levels(StreamMode.TREES, (), 11)
         for n in range(1, 12):
@@ -587,7 +580,7 @@ class TestStoreLifetime:
                             lambda g: solved.append(g) or parameter_values(g))
         p7 = decode_graph6("F?LT?")
         counts = []
-        for call in [lambda: verify_corollary2(max_n=11)] * 2 + \
+        for call in [lambda: SWEEPS["corollary2"].run(max_n=11)] * 2 + \
                 [lambda: in_class(p7)] * 2:
             solved.clear()
             call()

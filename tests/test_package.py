@@ -13,18 +13,45 @@ from expodom.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 
 
+#: Names deleted because each restated another: the sweep aliases of
+#: `SWEEPS[name].run`, `find_minimal_forbidden` for `minimal_spec(...).run`,
+#: `DEFAULT_MAX_N` for `SweepSpec.default_max_n`, and the single-vertex
+#: weights for an index into `weight_table` / `porous_weight_table`
+DELETED_NAMES = ("DyadicWeight", "verify_theorem1", "verify_corollary1",
+                 "verify_corollary2", "probe_conjecture3", "DEFAULT_MAX_N",
+                 "find_minimal_forbidden", "weight", "porous_weight")
+
+
 def test_exports_and_readme_library_example():
     for name in expodom.__all__:
         assert hasattr(expodom, name), name
-    assert "DyadicWeight" not in expodom.__all__
-    assert not hasattr(expodom, "DyadicWeight")
+    for name in DELETED_NAMES:
+        assert name not in expodom.__all__, name
+        assert not hasattr(expodom, name), name
 
-    # the README's "Library" example
-    g = expodom.decode_graph6("F?LT?")
-    assert expodom.parameter_values(g) == (3, 2, 2)
-    result = expodom.in_class(g, expodom.ClassKind.EXPONENTIAL)
-    assert not result.member and result.witness == "F?LT?"
-    assert expodom.verify_corollary2(max_n=10).verified
+    # the README's "Library" block as written: each commented expression's
+    # value is the one its comment shows, as a literal or as attributes
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S)[1]
+    lines = block.splitlines()
+    namespace: dict = {}
+    shown = []
+    for node in ast.parse(block).body:
+        source = ast.get_source_segment(block, node)
+        if not isinstance(node, ast.Expr):
+            exec(source, namespace)
+            continue
+        value = eval(source, namespace)
+        text = lines[node.end_lineno - 1][node.end_col_offset:].strip()
+        text = text.removeprefix("# ")
+        if "=" in text:
+            want = eval(f"dict({text})")
+            got = {key: getattr(value, key) for key in want}
+        else:
+            want, got = ast.literal_eval(text), value
+        assert got == want, source
+        shown.append(text)
+    assert shown == ["(3, 2, 2)", 'member=False, witness="F?LT?"', "True"]
 
 
 def test_package_imports_only_the_stdlib():
