@@ -5,7 +5,8 @@ A record holds a graph6 key of bytes 63-126 alone (no header, no spaces)
 and three ASCII-digit fields with 1 <= gamma_e_star <= gamma_e <= gamma <=
 the key's order.  Any other line (short, signed, spaced, out of range) is
 skipped with a warning instead of aborting: a truncated final line from an
-interrupted run must not poison later sweeps.  Reads only ever speed things
+interrupted run must not poison later sweeps, and the first append after
+such a line starts on a new line.  Reads only ever speed things
 up; values are recomputed identically on a miss.
 """
 
@@ -61,6 +62,10 @@ class ResultsCache:
         self.path = path
         self._records: dict[str, tuple[int, int, int]] = {}
         self._handle: Optional[IO[str]] = None
+        # whether the file's last line lacks its newline; if so, the first
+        # append starts a new line instead of extending it into a forged
+        # record
+        self._torn = False
         self._load()
 
     def _load(self) -> None:
@@ -68,6 +73,7 @@ class ResultsCache:
             return
         with open(self.path, "r", encoding="ascii", errors="replace") as fh:
             for lineno, line in enumerate(fh, start=1):
+                self._torn = not line.endswith("\n")
                 if not line.strip():
                     continue
                 try:
@@ -99,6 +105,8 @@ class ResultsCache:
             if directory:
                 os.makedirs(directory, exist_ok=True)
             self._handle = open(self.path, "a", encoding="ascii")
+            if self._torn:
+                self._handle.write("\n")
         self._handle.write(rec.line())
         self._handle.flush()
 

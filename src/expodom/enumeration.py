@@ -11,24 +11,30 @@ from a tree by attaching a leaf.  Each parent is augmented along one
 neighbourhood mask per orbit of its automorphism group, since masks in one
 orbit give isomorphic children; the group's generators come from one
 labeling search of the parent, made when its level above is built.  A
-canonical augmentation filter (`_keeps`) then rejects, before any
-labeling, each candidate whose new vertex is beaten by a non-cut vertex
-with a larger (degree, sorted neighbour degrees) invariant; every class
-still keeps at least one candidate.  The kept candidates are deduplicated
-by canonical code, and each level is kept in memory while the next is
-produced.  An unrestricted level's class count is checked against the
-published one (OEIS A001349, A000055) and a mismatch raises
+canonical augmentation filter (`_keeps`) then rejects, before any labeling,
+each candidate whose new vertex is beaten by a non-cut vertex with a larger
+(degree, sorted neighbour degrees) invariant; every class still keeps at
+least one candidate.  In a connected level a per-parent degree floor
+(`_degree_floor`) rejects most masks before their child is built: a non-cut
+vertex of the parent stays non-cut in every child but the one hung on it
+alone, and its degree never falls, so the filter would reject, among
+others, every mask of two or more vertices that has fewer vertices than the
+largest such degree (connected levels to order 8: 21,489 of 71,300
+candidates built, the same 13,033 kept).  The kept candidates are
+deduplicated by canonical code, and each level is kept in memory while the
+next is produced.  An unrestricted level's class count is checked against
+the published one (OEIS A001349, A000055) and a mismatch raises
 `CountGateError`.
 
 A connected graph's parents are exactly the classes of its connected cards
 G-v, so a sweep reads its membership off them instead of labeling every
 card again (`hereditary.ParamStore.fill_violators`).  Each enumerated level
 keeps one record per parent: the codes of its kept candidates and the set
-of masks the filter rejected.  `Level.children(j)` gives parent j's child
-classes, labeling its rejected masks on the first call only, so `enum`
-labels only the kept candidates and a sweep labels the rejected children
-of the parents it asks about.  Levels live for the whole process, in
-`_LEVELS`.
+of masks the floor or the filter rejected.  `Level.children(j)` gives
+parent j's child classes, labeling its rejected masks on the first call
+only, so `enum` labels only the kept candidates and a sweep labels the
+rejected children of the parents it asks about.  Levels live for the whole
+process, in `_LEVELS`.
 
 Pattern restrictions are hereditary, so a restricted level is grown from
 the restricted level below it, and a child can only hold a pattern through
@@ -229,10 +235,15 @@ def _level_pairs(mode: StreamMode, free_of: frozenset[str],
         blocked = patterns.extension_table(parent, free_of, reach)
         generators: set[tuple[int, ...]] = set()
         _search(parent.adj, generators)
+        floored = (_degree_floor(parent.adj)
+                   if mode is StreamMode.CONNECTED else None)
         kept = []
         rejected = 0
         for mask in _orbit_masks(generators,
                                  (m for m in masks if not blocked >> m & 1)):
+            if floored is not None and floored(mask):
+                rejected |= 1 << mask
+                continue
             rows = _augmented_rows(parent.adj, mask)
             if _keeps(rows):
                 code = canonical_code(_trusted(rows))
@@ -262,6 +273,11 @@ def _keeps(rows: tuple[int, ...]) -> bool:
     so its class is a parent; the orbit of that parent's masks that gives C
     back puts the new vertex in w's place (McKay, "Isomorph-free exhaustive
     generation", J. Algorithms 26, 1998).
+
+    `_degree_floor` is a cheaper pre-test of this rule: in a connected
+    level it rejects, from the parent's degrees and cut vertices alone, the
+    masks whose children a non-cut vertex beats on degree, and only the
+    rest reach this test.
     """
     v = len(rows) - 1
     degrees = [row.bit_count() for row in rows]
@@ -281,6 +297,33 @@ def _keeps(rows: tuple[int, ...]) -> bool:
         if du == 1 if tree else not _is_cut(rows, u):
             return False
     return True
+
+
+def _degree_floor(adj: tuple[int, ...]) -> Callable[[int], bool]:
+    """A test of a neighbourhood mask of the connected parent with these
+    rows: True only where `_keeps` rejects the child.
+
+    A non-cut vertex u of the parent stays non-cut in every child whose
+    mask is not {u}, and its degree there is deg(u) + [u in mask].  With lo
+    the largest degree of a non-cut vertex, a mask of c >= 2 vertices is
+    beaten when lo > c, or when lo = c and the mask holds a non-cut vertex
+    of degree lo; a mask {w} is beaten by any other non-cut vertex of
+    degree two or more.  Degrees and cut vertices are invariant under
+    Aut(parent), so the test rejects whole orbits.
+    """
+    degrees = [row.bit_count() for row in adj]
+    uncut = [u for u in range(len(adj)) if not _is_cut(adj, u)]
+    lo = max(degrees[u] for u in uncut)
+    top = sum(1 << u for u in uncut if degrees[u] == lo)
+    wide = sum(1 << u for u in uncut if degrees[u] >= 2)
+
+    def floored(mask: int) -> bool:
+        c = mask.bit_count()
+        if c == 1:
+            return wide & ~mask != 0
+        return lo > c or lo == c and mask & top != 0
+
+    return floored
 
 
 def _orbit_masks(generators: Iterable[Sequence[int]],

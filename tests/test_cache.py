@@ -99,6 +99,24 @@ class TestResultsCache:
         final = ResultsCache(path)
         assert len(final) == 2
 
+    def test_append_after_truncated_last_line(self, tmp_path, capsys):
+        # an interrupted run left "D" with no newline; gluing the next
+        # record onto it would forge DA_ -> (1, 1, 1) (its values are
+        # (3, 3, 3)) and lose the A_ record
+        path = tmp_path / "cache.tsv"
+        path.write_bytes(b"D")
+        cache = ResultsCache(str(path))
+        cache.put("A_", (1, 1, 1))
+        cache.close()
+        assert path.read_bytes() == b"D\nA_\t1\t1\t1\n"
+        capsys.readouterr()
+        again = ResultsCache(str(path))
+        assert dict(again.items()) == {"A_": (1, 1, 1)}
+        assert again.get("DA_") is None
+        assert capsys.readouterr().err == (
+            f"warning: {path}:1: skipping bad cache line "
+            "(expected 4 fields, got 1)\n")
+
     def test_bad_lines_skipped_with_warning(self, tmp_path, capsys):
         path = tmp_path / "cache.tsv"
         path.write_bytes(b"E@QW\t3\t2\t2\n"

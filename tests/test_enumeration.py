@@ -10,6 +10,7 @@ from expodom import enumeration
 from expodom.enumeration import (
     StreamMode,
     _augmented_rows,
+    _degree_floor,
     _keeps,
     _orbit_masks,
     connected_graphs,
@@ -52,6 +53,11 @@ TREE_CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23,
 #: the order-1 graph and the candidates the augmentation filter keeps (4,160
 #: with every candidate labeled)
 KEPT_CONNECTED_7 = 1047
+
+#: `_augmented_rows` calls of `connected_graphs(7)` on an empty level memo:
+#: the candidates built and run through `_keeps` once the degree floor has
+#: rejected its masks (4,159 with every candidate built)
+BUILT_CONNECTED_7 = 1593
 
 
 class TestConnectedStream:
@@ -397,6 +403,44 @@ class TestAugmentationFilter:
                 for n in range(1, 7) for parent in connected_graphs(n)]
         # the order-1 graph is labeled too
         assert calls == 1 + sum(kept) == KEPT_CONNECTED_7
+
+    def test_degree_floor_rejects_only_what_keeps_rejects(self):
+        # called as the level build calls it, once per parent and then once
+        # per orbit mask, on the connected levels to order 7 and the
+        # theorem1 stream to order 8: the oracle rejects every mask it
+        # rejects
+        for free_of, max_n in (((), 7), (RESTRICTION_NAMES, 8)):
+            source = levels(StreamMode.CONNECTED, free_of, max_n)
+            floored = 0
+            for n in range(1, max_n):
+                for _, parent in source(n):
+                    rejects = _degree_floor(parent.adj)
+                    for mask in candidates(StreamMode.CONNECTED, free_of,
+                                           parent):
+                        if rejects(mask):
+                            floored += 1
+                            assert not oracles.augmentation_filter_oracle(
+                                parent, mask), (encode_graph6(parent), mask)
+            assert floored, free_of
+
+    def test_degree_floor_builds_fewer_rows(self, monkeypatch):
+        # a fresh build to order 7 builds BUILT_CONNECTED_7 candidates'
+        # rows, and still labels KEPT_CONNECTED_7 graphs and searches 143
+        # parents (TestParentSearch)
+        built, labeled, searched = [], [], []
+        monkeypatch.setattr(enumeration, "_augmented_rows",
+                            lambda adj, mask: built.append(mask)
+                            or _augmented_rows(adj, mask))
+        monkeypatch.setattr(enumeration, "canonical_code",
+                            lambda g: labeled.append(g) or canonical_code(g))
+        monkeypatch.setattr(enumeration, "_search",
+                            lambda adj, *rest: searched.append(adj)
+                            or _search(adj, *rest))
+        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        assert len(connected_graphs(7)) == CONNECTED_CLASS_COUNTS[7]
+        assert len(built) == BUILT_CONNECTED_7
+        assert len(labeled) == KEPT_CONNECTED_7
+        assert len(searched) == 143
 
 
 @pytest.mark.parametrize("mode, free_of, max_n", [
