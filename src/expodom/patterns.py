@@ -14,29 +14,40 @@ non-neighbours.  What a step needs from the pattern (its degree, earlier
 neighbours and non-neighbours) is a search plan, built once per catalog
 pattern on first use; a bare `Graph` pattern gets a plan per call.
 
+A catalog pattern's plan also breaks its automorphism group (the closure
+of the labeling search's generators) along a stabiliser chain in plan
+order: each step the subgroup still moves must take a smaller host vertex
+than the rest of its orbit.  Of each class of embeddings only the first
+in search order completes, so the first embedding found is the unbroken
+plan's, and a free host costs one branch per class.
+
 Embeddings through one vertex are found without that vertex.  A graph
 contains a pattern H through its vertex v exactly when, for some vertex q
 of H, the graph minus v has an induced embedding of H-q whose image S
-meets v's neighbourhood in T, the image of q's neighbours.  Each catalog
-pattern keeps one form per q (the plan of H-q and the steps adjacent to
-q), and `_meetings` runs the matcher's one recursion, `_extend`, to
-collect the (S, T) pairs of every embedding of every form.  Since T has
-one vertex per neighbour of q, forms whose q has more neighbours than v
-can have are skipped: a new leaf meets only the forms of H's leaves.
-`is_free_with_new_vertex` tests v's row against the pairs, and
-`extension_table` marks, for a pattern-free parent, every neighbourhood
-of a new vertex that would complete a pattern, so an enumeration settles
-all of a parent's children in one pass.
+meets v's neighbourhood in T, the image of q's neighbours.  An
+automorphism taking q to q' maps the embeddings of H-q' onto those of H-q
+with the same (S, T), and two embeddings of H-q with the same (S, T)
+differ by an automorphism fixing q.  So each catalog pattern keeps one
+form per vertex orbit (the plan of H-q, broken by the automorphisms
+fixing q, and the steps adjacent to q), and `_meetings` runs the
+matcher's one recursion, `_extend`, to collect each (S, T) pair of every
+form exactly once.  Since T has one vertex per neighbour of q, forms
+whose q has more neighbours than v can have are skipped: a new leaf meets
+only the forms of H's leaves.  `is_free_with_new_vertex` tests v's row
+against the pairs, and `extension_table` marks, for a pattern-free
+parent, every neighbourhood of a new vertex that would complete a
+pattern, so an enumeration settles all of a parent's children in one
+pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
-from .graphs import Graph, from_edge_list, girth, without_vertex, \
-    INFINITY
+from .graphs import Graph, _search, from_edge_list, girth, \
+    without_vertex, INFINITY
 from . import domination
 
 #: A found embedding: position i holds the host vertex that pattern vertex i
@@ -57,12 +68,16 @@ class Pattern:
     # search plans depend only on the pattern: built on first use, kept
     # for the life of the pattern
     @cached_property
+    def _group(self) -> "tuple[Embedding, ...]":
+        return _automorphisms(self.graph)
+
+    @cached_property
     def _plan(self) -> "_Plan":
-        return _match_plan(self.graph)
+        return _match_plan(self.graph, self._group)
 
     @cached_property
     def _forms(self) -> "tuple[_Form, ...]":
-        return _vertex_forms(self.graph)
+        return _vertex_forms(self.graph, self._group)
 
 
 _EDGE_LISTS: dict[str, tuple[int, tuple[tuple[int, int], ...]]] = {
@@ -167,22 +182,49 @@ def verify_catalog() -> None:
 # ----------------------------------------------------------------------
 
 #: One step of a search plan: the pattern vertex placed at this step, its
-#: degree, and the earlier steps whose images must be adjacent (then
-#: non-adjacent) to this step's image.
-_Step = tuple[int, int, tuple[int, ...], tuple[int, ...]]
+#: degree, the earlier steps whose images must be adjacent (then
+#: non-adjacent) to this step's image, and the earlier step, if any, whose
+#: image must be smaller.
+_Step = tuple[int, int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 _Plan = tuple[_Step, ...]
 
+def _automorphisms(g: Graph) -> tuple[Embedding, ...]:
+    """Every automorphism of g, as an embedding of g in itself: the
+    closure of the labeling search's generators."""
+    generators: set[Embedding] = set()
+    _search(g.adj, generators)
+    group = [tuple(range(g.n))]
+    for s in group:  # appending while walking reaches every product
+        for t in generators:
+            ts = tuple(t[v] for v in s)
+            if ts not in group:
+                group.append(ts)
+    return tuple(group)
 
-def _match_plan(pg: Graph) -> _Plan:
+
+def _match_plan(pg: Graph, group: Sequence[Embedding] = ()) -> _Plan:
+    """The search plan of pg, broken by `group`, automorphisms of pg.
+
+    Each step b that the subgroup fixing the earlier steps moves must map
+    below the rest of its orbit, all later steps; a vertex in several such
+    orbits keeps the last b, which already lies above the earlier ones.
+    """
     # highest degree first fails fastest; ties broken by index for
     # deterministic output
     order = sorted(range(pg.n), key=lambda v: (-pg.degree(v), v))
+    above: list[tuple[int, ...]] = [()] * pg.n
+    for i, b in enumerate(order):
+        for s in group:
+            if s[b] != b:
+                above[s[b]] = (i,)
+        group = [s for s in group if s[b] == b]
     steps = []
     for i, q in enumerate(order):
         row = pg.adj[q]
         steps.append((q, row.bit_count(),
                       tuple(j for j in range(i) if (row >> order[j]) & 1),
-                      tuple(j for j in range(i) if not (row >> order[j]) & 1)))
+                      tuple(j for j in range(i) if not (row >> order[j]) & 1),
+                      above[q]))
     return tuple(steps)
 
 
@@ -191,13 +233,23 @@ def _match_plan(pg: Graph) -> _Plan:
 _Form = tuple[_Plan, tuple[int, ...]]
 
 
-def _vertex_forms(pg: Graph) -> tuple[_Form, ...]:
-    """One form per pattern vertex q."""
+def _vertex_forms(pg: Graph, group: Sequence[Embedding]) -> tuple[_Form, ...]:
+    """One form per orbit of `group`, pg's automorphisms, on its vertices:
+    for the orbit's least vertex q, the plan of pg-q broken by the
+    automorphisms that fix q."""
     forms = []
+    seen = 0
     for q in range(pg.n):
-        plan = _match_plan(without_vertex(pg, q))
-        # without_vertex renumbers the vertices after q down by one
-        near = tuple(i for i, (r, _, _, _) in enumerate(plan)
+        if (seen >> q) & 1:
+            continue
+        fixing = []
+        for s in group:
+            seen |= 1 << s[q]
+            if s[q] == q:
+                # without_vertex renumbers the vertices after q down by one
+                fixing.append(tuple(r - (r > q) for r in s[:q] + s[q + 1:]))
+        plan = _match_plan(without_vertex(pg, q), fixing)
+        near = tuple(i for i, (r, *_) in enumerate(plan)
                      if (pg.adj[q] >> (r + (r >= q))) & 1)
         forms.append((plan, near))
     return tuple(forms)
@@ -229,12 +281,14 @@ def _extend(plan: _Plan, adj: tuple[int, ...], at_least: list[int],
             touched |= 1 << image[i]
         out.add((used, touched))
         return False
-    _, deg, adjacent, apart = plan[idx]
+    _, deg, adjacent, apart, above = plan[idx]
     cand = at_least[deg] & ~used
     for j in adjacent:
         cand &= adj[image[j]]
     for j in apart:
         cand &= ~adj[image[j]]
+    for j in above:
+        cand &= -2 << image[j]
     while cand:
         b = cand & -cand
         image[idx] = b.bit_length() - 1
@@ -246,7 +300,7 @@ def _extend(plan: _Plan, adj: tuple[int, ...], at_least: list[int],
 
 def _embedding(plan: _Plan, image: list[int]) -> Embedding:
     out = [0] * len(plan)
-    for (q, _, _, _), h in zip(plan, image):
+    for (q, *_), h in zip(plan, image):
         out[q] = h
     return tuple(out)
 
@@ -268,7 +322,9 @@ def find_induced(host: Graph, p: Pattern | Graph) -> Optional[Embedding]:
     """First induced embedding of the pattern in the host, or None.
 
     Backtracks over pattern vertices in descending-degree order with host
-    candidates ascending, so the result is deterministic.
+    candidates ascending, so the result is deterministic.  A catalog
+    pattern's symmetry-broken plan finds what its graph's unbroken plan
+    finds.
     """
     plan = p._plan if isinstance(p, Pattern) else _match_plan(p)
     return _first(host, _degree_masks(host), plan)

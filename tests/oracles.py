@@ -12,13 +12,17 @@ The labeling kernel's reference is its earlier form, frozen verbatim
 (`_refine`, `_search`): a faster kernel must return the same columns and
 the same generator sets.  So is the exact solver's (`_dominating_walk`,
 `_porous_walk`, `_exponential_pair`): a faster solver must return the same
-values and the same certificates.
+values and the same certificates.  And so are the through-vertex
+matcher's one form per pattern vertex and its unbroken plans
+(`meetings_oracle`): forms per vertex orbit with symmetry-broken plans
+must give the same (S, T) sets.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, permutations
 
 from expodom.domination import (
@@ -36,6 +40,7 @@ from expodom.graphs import (
     iter_bits,
     without_vertex,
 )
+from expodom.patterns import pattern
 
 
 def adjacency(g: Graph) -> dict[int, set[int]]:
@@ -576,3 +581,99 @@ def solver_oracle(g: Graph) -> tuple[ParamResult, ParamResult, ParamResult]:
     chosen: list[int] = []
     return (_first(_dominating_walk(g, chosen), chosen),
             *_exponential_pair(g))
+
+
+# ----------------------------------------------------------------------
+# The through-vertex matcher before forms went one per vertex orbit:
+# one form per pattern vertex, each plan unbroken, frozen verbatim
+# ----------------------------------------------------------------------
+
+def _match_plan(pg: Graph):
+    # highest degree first fails fastest; ties broken by index for
+    # deterministic output
+    order = sorted(range(pg.n), key=lambda v: (-pg.degree(v), v))
+    steps = []
+    for i, q in enumerate(order):
+        row = pg.adj[q]
+        steps.append((q, row.bit_count(),
+                      tuple(j for j in range(i) if (row >> order[j]) & 1),
+                      tuple(j for j in range(i) if not (row >> order[j]) & 1)))
+    return tuple(steps)
+
+
+def _vertex_forms(pg: Graph):
+    """One form per pattern vertex q."""
+    forms = []
+    for q in range(pg.n):
+        plan = _match_plan(without_vertex(pg, q))
+        # without_vertex renumbers the vertices after q down by one
+        near = tuple(i for i, (r, _, _, _) in enumerate(plan)
+                     if (pg.adj[q] >> (r + (r >= q))) & 1)
+        forms.append((plan, near))
+    return tuple(forms)
+
+
+def _degree_masks(host: Graph) -> list[int]:
+    """Entry d is the mask of host vertices of degree at least d."""
+    at_least = [0] * (host.n + 1)
+    for v, row in enumerate(host.adj):
+        at_least[row.bit_count()] |= 1 << v
+    for d in range(host.n - 1, -1, -1):
+        at_least[d] |= at_least[d + 1]
+    return at_least
+
+
+def _extend(plan, adj: tuple[int, ...], at_least: list[int],
+            image: list[int], idx: int, used: int,
+            near: tuple[int, ...] = (), out=None) -> bool:
+    """Fill image[idx:] along the plan; image[i] is step i's host vertex.
+
+    True at the first completion, unless `out` is given: then every
+    completion adds (used, touched) to it, the vertices of the image and
+    of the steps in `near`."""
+    if idx == len(plan):
+        if out is None:
+            return True
+        touched = 0
+        for i in near:
+            touched |= 1 << image[i]
+        out.add((used, touched))
+        return False
+    _, deg, adjacent, apart = plan[idx]
+    cand = at_least[deg] & ~used
+    for j in adjacent:
+        cand &= adj[image[j]]
+    for j in apart:
+        cand &= ~adj[image[j]]
+    while cand:
+        b = cand & -cand
+        image[idx] = b.bit_length() - 1
+        if _extend(plan, adj, at_least, image, idx + 1, used | b, near, out):
+            return True
+        cand ^= b
+    return False
+
+
+@cache
+def _forms(name: str):
+    return _vertex_forms(pattern(name).graph)
+
+
+def meetings_oracle(host: Graph, names, skip: int,
+                    reach: int) -> set[tuple[int, int]]:
+    """The (S, T) pairs of the named patterns' forms in the host.
+
+    For every named pattern H, vertex q of H with at most `reach`
+    neighbours, and induced embedding of H-q in the host that avoids the
+    vertices in `skip`: S is the image and T the image of q's neighbours.
+    A vertex with at most `reach` neighbours can only meet these.
+    """
+    at_least = [m & ~skip for m in _degree_masks(host)]
+    out: set[tuple[int, int]] = set()
+    for name in frozenset(names):
+        for plan, near in _forms(name):
+            # a longer plan would overrun at_least with its degrees
+            if len(near) <= reach and len(plan) <= host.n:
+                _extend(plan, host.adj, at_least, [-1] * len(plan), 0, 0,
+                        near, out)
+    return out

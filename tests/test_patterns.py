@@ -1,17 +1,22 @@
 import hashlib
 import math
 import random
+from functools import cache
 
 import networkx as nx
 import pytest
 
 from expodom.enumeration import StreamMode, _augment, connected_graphs, \
-    levels
+    levels, trees
 from expodom.graphs import canonical_code, from_edge_list, girth, \
-    encode_graph6, without_vertex
+    encode_graph6, relabel, without_vertex
 from expodom.patterns import (
     OBSTRUCTION_NAMES,
+    RESTRICTION_NAMES,
     TRIANGLE_RESTRICTION_NAMES,
+    _degree_masks,
+    _extend,
+    _meetings,
     catalog,
     extension_table,
     find_any_pattern,
@@ -289,6 +294,103 @@ class TestExtensionTable:
             children += c
             blocked += b
         assert (children, blocked) == (84798, 6708)
+
+
+@cache
+def symmetry_hosts(max_connected: int, max_tree: int,
+                   max_random: int) -> tuple:
+    """The connected graphs and the trees to the given orders, and seeded
+    G(n, p) graphs to order `max_random`."""
+    rng = random.Random(28)
+    hosts = [g for n in range(1, max_connected + 1)
+             for g in connected_graphs(n)]
+    hosts += [g for n in range(1, max_tree + 1) for g in trees(n)]
+    hosts += [random_graph(rng, n, p) for n in range(1, max_random + 1)
+              for p in (0.2, 0.35, 0.5) for _ in range(4)]
+    return tuple(hosts)
+
+
+#: every parent of the connected levels to order 7 and of the tree levels
+#: to order 12, and G(n, p) graphs to order 12
+PARENTS = (6, 11, 12)
+
+
+class CountingSet(set):
+    """A set that counts every `add`, repeated or not."""
+    adds = 0
+
+    def add(self, item):
+        self.adds += 1
+        super().add(item)
+
+
+class TestSymmetryBreaking:
+    """Forms go one per vertex orbit and plans are broken by the pattern's
+    automorphisms; every (S, T) set, count and freeness verdict stays."""
+
+    NAME_SETS = (RESTRICTION_NAMES, TRIANGLE_RESTRICTION_NAMES, ("P7", "F1"),
+                 OBSTRUCTION_NAMES) + tuple((n,) for n in pattern_names())
+
+    def test_one_form_per_vertex_orbit(self):
+        assert {p.name: len(p._forms) for p in catalog()} == {
+            "K3": 1, "K4": 1, "DIAMOND": 2, "BULL": 3, "K23": 2,
+            "P2xP3": 2, "P7": 4, "C7": 1, "F1": 4, "F2": 6, "F3": 4,
+            "F4": 3, "F5": 5, "P2xC3": 1}
+
+    def test_meetings_match_frozen_reference(self):
+        # the reference runs once per name at full reach: a form's pairs
+        # have |T| = q's degree, so its pairs at reach r are those with
+        # |T| <= r, and a name set's are the union of its names'
+        rng = random.Random(2028)
+        # reach 4 is the largest degree of a catalog vertex: it takes every
+        # form
+        reaches = range(1 + max(max(p.graph.degree(v)
+                                    for v in range(p.graph.n))
+                                for p in catalog()))
+        for host in symmetry_hosts(*PARENTS):
+            noise = rng.getrandbits(host.n) & rng.getrandbits(host.n)
+            for skip in (0, 1 << rng.randrange(host.n) | noise):
+                full = {name: oracles.meetings_oracle(host, [name], skip,
+                                                      reaches[-1])
+                        for name in pattern_names()}
+                for names in self.NAME_SETS:
+                    want = set().union(*(full[name] for name in names))
+                    for reach in reaches:
+                        assert _meetings(host, names, skip, reach) == \
+                            {(s, t) for s, t in want
+                             if t.bit_count() <= reach}, \
+                            (encode_graph6(host), names, skip, reach)
+
+    def test_each_pair_completes_once(self):
+        # embeddings of H-q with one (S, T) differ by an automorphism that
+        # fixes q, and those of forms in different orbits differ in (S, T)
+        pairs = 0
+        for host in symmetry_hosts(*PARENTS):
+            at_least = _degree_masks(host)
+            for p in catalog():
+                out = CountingSet()
+                for plan, near in p._forms:
+                    if len(plan) <= host.n:
+                        _extend(plan, host.adj, at_least, [-1] * len(plan),
+                                0, 0, near, out)
+                assert out.adds == len(out), (encode_graph6(host), p.name)
+                pairs += len(out)
+        # measured when forms went one per orbit; the reference's forms
+        # reach the same pairs (test_meetings_match_frozen_reference)
+        assert pairs == 294633
+
+    def test_broken_plans_find_the_unbroken_first_embedding(self):
+        # a bare Graph pattern gets the unbroken plan
+        rng = random.Random(1428)
+        for host in symmetry_hosts(7, 12, 14):
+            order = list(range(host.n))
+            rng.shuffle(order)
+            for g in (host, relabel(host, order)):
+                for p in catalog():
+                    first = find_induced(g, p.graph)
+                    assert find_induced(g, p) == first, \
+                        (encode_graph6(g), p.name)
+                    assert is_free(g, [p.name]) == (first is None)
 
 
 class TestCanonicalRole:
