@@ -31,10 +31,17 @@ G-v, so a sweep reads its membership off them instead of labeling every
 card again (`hereditary.ParamStore.fill_violators`).  Each enumerated level
 keeps one record per parent: the codes of its kept candidates and the set
 of masks the floor or the filter rejected.  `Level.children(j)` gives
-parent j's child classes, labeling its rejected masks on the first call
-only, so `enum` labels only the kept candidates and a sweep labels the
-rejected children of the parents it asks about.  Levels live for the whole
-process, in `_LEVELS`.
+parent j's child classes, naming its rejected masks' children on the first
+call only, so `enum` labels only the kept candidates and a sweep names only
+the rejected children of the parents it asks about.  Such a child is
+connected and in the host class, so it is isomorphic to exactly one class
+of the level.  A sweep asks for all its parents at once
+(`Level.children_of`), and when their rejected masks are at least as many
+as the level's classes, the level indexes its classes by an isomorphism
+invariant (`_ClassIndex`) and names each child by its key, labeling only
+a child whose key two classes share (`corollary2` to order 11: 499
+children named on levels 10 and 11, none labeled).  Levels live for the
+whole process, in `_LEVELS`.
 
 Pattern restrictions are hereditary, so a restricted level is grown from
 the restricted level below it, and a child can only hold a pattern through
@@ -46,9 +53,10 @@ orbit is augmented and filtered.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 from functools import cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .graphs import Graph, SizeCapError, _is_cut, _search, _trusted, \
     canonical_code, decode_graph6, is_connected, iter_bits
@@ -95,10 +103,11 @@ class Level(list):
 
     `below` is the level one order down, whose classes are the parents.
     `children(j)` gives the classes of parent j's connected one-vertex
-    extensions in the host class; `decks` inverts it.
+    extensions in the host class, and `children_of(parents)` those of many
+    parents at once; `decks` inverts them.
     """
 
-    __slots__ = ("below", "_records")
+    __slots__ = ("below", "_records", "_index")
 
     def __init__(self, pairs: Iterable[tuple[bytes, Graph]],
                  below: list[tuple[bytes, Graph]],
@@ -108,30 +117,114 @@ class Level(list):
         # per parent: the codes of its kept candidates, and its rejected
         # masks as one set, bit m set for mask m
         self._records = records
+        # the invariant index of the classes, once children_of builds it
+        self._index: Optional[_ClassIndex] = None
 
     def children(self, j: int) -> tuple[bytes, ...]:
         """The codes of parent j's children, each class at least once.
 
-        The first call labels the rejected masks and moves their codes
-        into the record, so later calls label nothing.
+        The first call names the rejected masks' children and moves their
+        codes into the record, so later calls name nothing.  A child is
+        named through the level's invariant index when `children_of` has
+        built one, and otherwise, or when its key is shared, by labeling.
         """
         codes, rejected = self._records[j]
         if rejected:
-            parent = self.below[j][1]
-            codes += tuple(canonical_code(_augment(parent, mask))
-                           for mask in iter_bits(rejected))
+            adj = self.below[j][1].adj
+            index = self._index
+            named = []
+            for mask in iter_bits(rejected):
+                rows = _augmented_rows(adj, mask)
+                code = index.name(rows) if index is not None else None
+                named.append(code or canonical_code(_trusted(rows)))
+            codes += tuple(named)
             self._records[j] = (codes, 0)
         return codes
+
+    def children_of(self, parents: Sequence[int]
+                    ) -> list[tuple[bytes, ...]]:
+        """`children(j)` for each parent j in `parents`, in order.
+
+        When the rejected masks still to be named among them are at least
+        as many as the level's classes, the level first builds its
+        invariant index (`_ClassIndex`), once, and keeps it: then each
+        child costs a key instead of a labeling search.
+        """
+        if self._index is None and sum(
+                self._records[j][1].bit_count() for j in parents) >= len(self):
+            self._index = _ClassIndex(self)
+        return [self.children(j) for j in parents]
 
     @property
     def decks(self) -> list[list[bytes]]:
         """Per class, every parent whose augmentations give it, in order.
-        The sweeps need only `children`; the tests check decks with it."""
+        The sweeps need only `children_of`; the tests check decks with it."""
         found: dict[bytes, set[bytes]] = {code: set() for code, _ in self}
         for j, (pcode, _) in enumerate(self.below):
             for code in self.children(j):
                 found[code].add(pcode)
         return [sorted(found[code]) for code, _ in self]
+
+
+class _ClassIndex:
+    """A level's classes, looked up by an isomorphism invariant.
+
+    A rejected mask is unblocked, so its child is connected, in the host
+    class and isomorphic to exactly one class of the level, and it has
+    that class's invariants.  So a key that one class alone holds names
+    the child without a labeling search, and a key two classes share
+    names nothing.  The first key is the augmentation filter's invariant
+    (`_first_round`); the classes that share one are told apart, where
+    they can be, by a second refinement round (`_second_round`), which is
+    computed only for children whose first key is shared (no rejected
+    child of a tree to order 12 is labeled; the default `theorem1` sweep
+    labels 138 of the 1,714 it names at order 9).  Keys are ints, hashes
+    of the invariants, so a hash collision only shares a key, and the
+    index holds one int and one code per class.
+    """
+
+    __slots__ = ("_first", "_second")
+
+    def __init__(self, level: list[tuple[bytes, Graph]]):
+        keys = [_first_round(g.adj)[1] for _, g in level]
+        held = Counter(keys)
+        # key -> code, or None where two classes hold the key
+        self._first = {key: code if held[key] == 1 else None
+                       for (code, _), key in zip(level, keys)}
+        self._second: dict[int, Optional[bytes]] = {}
+        for (code, g), key in zip(level, keys):
+            if held[key] > 1:
+                key = _second_round(g.adj, _first_round(g.adj)[0])
+                self._second[key] = None if key in self._second else code
+
+    def name(self, rows: tuple[int, ...]) -> Optional[bytes]:
+        """The code of the class of the child with these rows, or None
+        when its keys are shared."""
+        counts, key = _first_round(rows)
+        code = self._first[key]
+        if code is None:
+            code = self._second.get(_second_round(rows, counts))
+        return code
+
+
+def _first_round(rows: tuple[int, ...]) -> tuple[list[int], int]:
+    """Per vertex, its neighbours' degrees as one int, and a hash of their
+    sorted multiset: the (degree, sorted neighbour degrees) invariant of
+    `_keeps`.  The int holds, at bits s*d, the count of neighbours of
+    degree d; with s = n.bit_length(), no count below n overflows.
+    """
+    s = len(rows).bit_length()
+    ones = [1 << s * row.bit_count() for row in rows]
+    counts = [sum(ones[w] for w in iter_bits(row)) for row in rows]
+    return counts, hash(tuple(sorted(counts)))
+
+
+def _second_round(rows: tuple[int, ...], counts: list[int]) -> int:
+    """A hash of the sorted multiset, over the vertices, of each vertex's
+    first-round value with its neighbours' sorted first-round values."""
+    return hash(tuple(sorted(
+        (count, *sorted(counts[w] for w in iter_bits(row)))
+        for count, row in zip(counts, rows))))
 
 
 def levels(mode: StreamMode, free_of: Iterable[str],
@@ -374,7 +467,8 @@ def _check_count(mode: StreamMode, n: int, found: int) -> None:
 
 
 def _augment(parent: Graph, neighborhood: int) -> Graph:
-    """Parent plus one new vertex adjacent to the masked vertices."""
+    """Parent plus one new vertex adjacent to the masked vertices; the
+    tests build their candidate children with it."""
     return _trusted(_augmented_rows(parent.adj, neighborhood))
 
 

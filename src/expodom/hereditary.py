@@ -15,12 +15,14 @@ store memoizes, per canonical class, a minimum-order connected induced
 violator (or None), so witnesses come free.
 
 That memo is filled two ways.  A sweep over an enumerated stream asks
-each level for the children of its nonmember parents (`Level.children`;
-a parent's children are the classes whose connected cards include it),
-and `ParamStore.fill_violators` takes, per class, the minimum over the
-memo entries of the parents that reach it.  Member parents cannot lower a
-minimum, so their rejected candidates are never labeled, and nothing is
-recursed over.  Every other input
+each level for the children of its nonmember parents, all in one call
+(`Level.children_of`; a parent's children are the classes whose connected
+cards include it), and `ParamStore.fill_violators` takes, per class, the
+minimum over the memo entries of the parents that reach it.  Member
+parents cannot lower a minimum, so their rejected candidates are never
+named, and nothing is recursed over.  The level names the others through
+an invariant index of its classes when they are at least as many as its
+classes, and by labeling otherwise.  Every other input
 (`member`, `in_class`, `is_minimal_forbidden`, the startup gate, a sweep's
 `graphs`) is not closed under vertex deletion, so `ParamStore.violators`
 recurses over its connected cards and labels each one.  Cut vertices are
@@ -212,17 +214,19 @@ class ParamStore:
         A class's pair is the minimum over the memo entries of the
         nonmember parents among whose children it is, plus the class
         itself.  A member parent would add (None, None), which never lowers
-        a minimum, so only nonmember parents are asked for their children.
+        a minimum, so only nonmember parents are asked for their children,
+        in one call, so that the level sees how many children it must name.
         The class itself is solved only when its parents leave a kind
         open.  The level one order down must have been filled first.
         """
         memo = self._violators
         reached: dict[bytes, list] = {}
-        for j, (pcode, _) in enumerate(level.below):
-            pair = memo[pcode]
-            if pair != (None, None):
-                for code in level.children(j):
-                    reached.setdefault(code, []).append(pair)
+        asked = [j for j, (pcode, _) in enumerate(level.below)
+                 if memo[pcode] != (None, None)]
+        for j, codes in zip(asked, level.children_of(asked)):
+            pair = memo[level.below[j][0]]
+            for code in codes:
+                reached.setdefault(code, []).append(pair)
         for code, g in level:
             if code not in memo:
                 memo[code] = self._least_with_self(g, code,

@@ -9,6 +9,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 from expodom import enumeration
 from expodom.enumeration import (
     StreamMode,
+    _ClassIndex,
     _augmented_rows,
     _degree_floor,
     _keeps,
@@ -28,6 +29,7 @@ from expodom.graphs import (
     decode_graph6,
     encode_graph6,
     is_connected,
+    iter_bits,
     without_vertex,
 )
 from expodom.patterns import (
@@ -493,6 +495,61 @@ class TestDecks:
             for j in range(len(level.below)):
                 level.children(j)
         assert labeled == []
+
+
+class TestClassIndex:
+    """`_ClassIndex` names a rejected child's class only by a key that one
+    class of the level holds, and `children_of` builds it only when the
+    masks still to be named are at least as many as the classes."""
+
+    def test_names_are_the_childrens_codes(self, monkeypatch):
+        # every rejected mask of every parent, on fresh levels of the tree,
+        # theorem1, corollary1 and connected streams: a named child's name
+        # is its canonical code, some keys are shared (so the labeling
+        # fallback runs), and children_of returns, byte for byte, the kept
+        # codes followed by the rejected children's codes in mask order
+        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        named = shared = 0
+        for mode, free_of, max_n in (
+                (StreamMode.TREES, (), 12),
+                (StreamMode.CONNECTED, RESTRICTION_NAMES, 9),
+                (StreamMode.CONNECTED, TRIANGLE_RESTRICTION_NAMES, 9),
+                (StreamMode.CONNECTED, (), 7)):
+            source = levels(mode, free_of, max_n)
+            for n in range(2, max_n + 1):
+                level = source(n)
+                index = _ClassIndex(level)
+                want, masks = [], 0
+                for j, (_, parent) in enumerate(level.below):
+                    codes, rejected = level._records[j]
+                    for mask in iter_bits(rejected):
+                        code = canonical_code(
+                            Graph(n, _augmented_rows(parent.adj, mask)))
+                        got = index.name(_augmented_rows(parent.adj, mask))
+                        if got is None:
+                            shared += 1
+                        else:
+                            assert got == code, (encode_graph6(parent), mask)
+                            named += 1
+                        codes += (code,)
+                        masks += 1
+                    want.append(codes)
+                parents = range(len(level.below))
+                assert level.children_of(parents) == want
+                assert (level._index is not None) == (masks >= len(level))
+        assert named and shared
+
+    def test_index_is_built_once(self, monkeypatch):
+        # children_of counts only the masks not yet named: a second call
+        # names nothing and leaves the index as it is
+        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        level = levels(StreamMode.TREES, (), 11)(11)
+        parents = range(len(level.below))
+        first = level.children_of(parents)
+        index = level._index
+        assert index is not None
+        assert level.children_of(parents) == first
+        assert level._index is index
 
 
 class TestGraph6Stream:

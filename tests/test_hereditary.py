@@ -196,6 +196,13 @@ STREAMS = pytest.mark.parametrize("mode, free_of, max_n", [
 #: with every candidate labeled)
 LABELED_CONJECTURE3_7 = 1062
 
+#: `enumeration.canonical_code` calls of a `corollary2` sweep to order 11 on
+#: an empty level memo and a fresh store: the order-1 graph, the kept
+#: candidates, and the rejected children of the nonmember parents on the
+#: levels below 10, which build no class index (1,099 with every rejected
+#: child of a nonmember parent labeled)
+LABELED_COROLLARY2_11 = 600
+
 
 class TestConnectedCardRecursion:
     """The recursion over connected cards, and the sweep's level pass over
@@ -254,6 +261,26 @@ class TestConnectedCardRecursion:
                 if reference(parent) != (None, None):
                     want += len(masks) - kept
         assert calls == want == LABELED_CONJECTURE3_7
+
+    def test_sweep_names_rejected_children_by_index(self, monkeypatch):
+        # trees to order 11: levels 10 and 11 name the rejected children of
+        # their nonmember parents (124 + 375 masks against 106 + 235
+        # classes) through their class index, and label none of them;
+        # conjecture3 to order 7 indexes no level (15 masks against 853
+        # classes at order 7), so LABELED_CONJECTURE3_7 holds
+        labeled = []
+        monkeypatch.setattr(enumeration, "canonical_code",
+                            lambda g: labeled.append(g) or canonical_code(g))
+        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        SWEEPS["corollary2"].run(11, store=ParamStore())
+        assert len(labeled) == LABELED_COROLLARY2_11
+        indexed = sorted(n for (_, _, n), level in enumeration._LEVELS.items()
+                         if level._index is not None)
+        assert indexed == [10, 11]
+        enumeration._LEVELS.clear()
+        SWEEPS["conjecture3"].run(7, store=ParamStore())
+        assert all(level._index is None
+                   for level in enumeration._LEVELS.values())
 
     def test_recursion_builds_only_connected_cards(self, store, rng,
                                                     monkeypatch):

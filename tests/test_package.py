@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -164,6 +165,15 @@ def test_readme_command_examples(capsys):
             assert out == shown, command
         ran.append(argv[0])
     assert ran == ["params", "member", "match", "minimal"]
+
+
+def test_python_m_expodom():
+    # `python -m expodom` runs the same command line as the script
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "expodom", "--version"],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == f"expodom {expodom.__version__}\n"
 
 
 def test_sources_parse_as_python_3_10():
