@@ -30,18 +30,19 @@ A connected graph's parents are exactly the classes of its connected cards
 G-v, so a sweep reads its membership off them instead of labeling every
 card again (`hereditary.ParamStore.fill_violators`).  Each enumerated level
 keeps one record per parent: the codes of its kept candidates and the set
-of masks the floor or the filter rejected.  `Level.children(j)` gives
-parent j's child classes, naming its rejected masks' children on the first
-call only, so `enum` labels only the kept candidates and a sweep names only
-the rejected children of the parents it asks about.  Such a child is
-connected and in the host class, so it is isomorphic to exactly one class
-of the level.  A sweep asks for all its parents at once
-(`Level.children_of`), and when their rejected masks are at least as many
-as the level's classes, the level indexes its classes by an isomorphism
-invariant (`_ClassIndex`) and names each child by its key, labeling only
-a child whose key two classes share (`corollary2` to order 11: 499
-children named on levels 10 and 11, none labeled).  Levels live for the
-whole process, in `_LEVELS`.
+of masks the floor or the filter rejected.  A level is read-only once
+built.  `Level.children(j)` gives parent j's child classes, naming its
+rejected masks' children on each call, so `enum` labels only the kept
+candidates and a sweep names only the rejected children of the parents it
+asks about.  Such a child is connected and in the host class, so it is
+isomorphic to exactly one class of the level.  A sweep asks for all its
+parents at once (`Level.children_of`), and when their rejected masks are
+at least as many as the level's classes, that call indexes the classes by
+an isomorphism invariant (`_ClassIndex`) and names each child by its key,
+labeling only a child whose key two classes share (`corollary2` to order
+11: 499 children named on levels 10 and 11, none labeled).  Levels belong
+to the source that built them (`levels`), and so to one sweep call or one
+`connected_graphs` or `trees` call.
 
 Pattern restrictions are hereditary, so a restricted level is grown from
 the restricted level below it, and a child can only hold a pattern through
@@ -93,21 +94,22 @@ class CountGateError(patterns.GateError):
     """An unrestricted level's class count differs from the published one."""
 
 
-#: A sweep's graphs of one order: (canonical code, graph) pairs, each graph
-#: its class's canonical representative, in code order.
-LevelSource = Callable[[int], Iterable[tuple[bytes, Graph]]]
+#: A sweep's graphs of one order: a list of (canonical code, graph) pairs,
+#: each graph its class's canonical representative, in code order.
+LevelSource = Callable[[int], list[tuple[bytes, Graph]]]
 
 
 class Level(list):
     """An enumerated order: (code, graph) pairs in code order.
 
-    `below` is the level one order down, whose classes are the parents.
-    `children(j)` gives the classes of parent j's connected one-vertex
-    extensions in the host class, and `children_of(parents)` those of many
-    parents at once; `decks` inverts them.
+    A level is read-only once built.  `below` is the level one order down,
+    whose classes are the parents.  `children(j)` gives the classes of
+    parent j's connected one-vertex extensions in the host class, and
+    `children_of(parents)` those of many parents at once; `decks` inverts
+    them.  Neither stores what it names.
     """
 
-    __slots__ = ("below", "_records", "_index")
+    __slots__ = ("below", "_records")
 
     def __init__(self, pairs: Iterable[tuple[bytes, Graph]],
                  below: list[tuple[bytes, Graph]],
@@ -117,51 +119,47 @@ class Level(list):
         # per parent: the codes of its kept candidates, and its rejected
         # masks as one set, bit m set for mask m
         self._records = records
-        # the invariant index of the classes, once children_of builds it
-        self._index: Optional[_ClassIndex] = None
 
     def children(self, j: int) -> tuple[bytes, ...]:
-        """The codes of parent j's children, each class at least once.
-
-        The first call names the rejected masks' children and moves their
-        codes into the record, so later calls name nothing.  A child is
-        named through the level's invariant index when `children_of` has
-        built one, and otherwise, or when its key is shared, by labeling.
-        """
-        codes, rejected = self._records[j]
-        if rejected:
-            adj = self.below[j][1].adj
-            index = self._index
-            named = []
-            for mask in iter_bits(rejected):
-                rows = _augmented_rows(adj, mask)
-                code = index.name(rows) if index is not None else None
-                named.append(code or canonical_code(_trusted(rows)))
-            codes += tuple(named)
-            self._records[j] = (codes, 0)
-        return codes
+        """The codes of parent j's children, each class at least once: its
+        kept candidates', then its rejected masks' children, each labeled,
+        in mask order."""
+        return self._named(j, None)
 
     def children_of(self, parents: Sequence[int]
                     ) -> list[tuple[bytes, ...]]:
         """`children(j)` for each parent j in `parents`, in order.
 
-        When the rejected masks still to be named among them are at least
-        as many as the level's classes, the level first builds its
-        invariant index (`_ClassIndex`), once, and keeps it: then each
-        child costs a key instead of a labeling search.
+        When the given parents' rejected masks are at least as many as the
+        level's classes, this call first builds an invariant index of the
+        classes (`_ClassIndex`): then each child costs a key instead of a
+        labeling search, unless its key is shared.
         """
-        if self._index is None and sum(
-                self._records[j][1].bit_count() for j in parents) >= len(self):
-            self._index = _ClassIndex(self)
-        return [self.children(j) for j in parents]
+        index = None
+        if sum(self._records[j][1].bit_count() for j in parents) >= len(self):
+            index = _ClassIndex(self)
+        return [self._named(j, index) for j in parents]
+
+    def _named(self, j: int, index: Optional[_ClassIndex]
+               ) -> tuple[bytes, ...]:
+        """`children(j)`, naming each rejected child by `index` if it can."""
+        codes, rejected = self._records[j]
+        adj = self.below[j][1].adj
+        named = []
+        for mask in iter_bits(rejected):
+            rows = _augmented_rows(adj, mask)
+            code = index.name(rows) if index is not None else None
+            named.append(code or canonical_code(_trusted(rows)))
+        return codes + tuple(named)
 
     @property
     def decks(self) -> list[list[bytes]]:
         """Per class, every parent whose augmentations give it, in order.
         The sweeps need only `children_of`; the tests check decks with it."""
         found: dict[bytes, set[bytes]] = {code: set() for code, _ in self}
-        for j, (pcode, _) in enumerate(self.below):
-            for code in self.children(j):
+        parents = range(len(self.below))
+        for (pcode, _), codes in zip(self.below, self.children_of(parents)):
+            for code in codes:
                 found[code].add(pcode)
         return [sorted(found[code]) for code, _ in self]
 
@@ -232,7 +230,9 @@ def levels(mode: StreamMode, free_of: Iterable[str],
     """The enumerated levels of one host class, for orders 1..max_n.
 
     The order, the stream's cap and the pattern names are checked here,
-    before any level is built.
+    before any level is built.  The source builds each order once, from
+    the level below, refuses an order outside 1..max_n, and keeps its
+    levels only as long as its caller keeps it.
     """
     if max_n < 1:
         raise ValueError("order must be at least 1")
@@ -241,8 +241,18 @@ def levels(mode: StreamMode, free_of: Iterable[str],
         raise SizeCapError(f"{noun} enumeration capped at order {cap}")
     names = frozenset(free_of)
     patterns._named(names)  # raises on an unknown name
-    # _level_pairs is looked up per call, so a patch of it applies
-    return lambda n: _level_pairs(mode, names, n)
+    built: list[Level] = []
+
+    def source(n: int) -> Level:
+        if not 1 <= n <= max_n:
+            raise ValueError(f"order {n} outside 1..{max_n}")
+        while len(built) < n:
+            # _level_pairs is looked up per call, so a patch of it applies
+            built.append(_level_pairs(mode, names,
+                                      built[-1] if built else None))
+        return built[n - 1]
+
+    return source
 
 
 def connected_graphs(n: int, free_of: Iterable[str] = ()) -> list[Graph]:
@@ -290,31 +300,16 @@ def levels_from_graphs(graphs: Iterable[Graph], max_n: int,
 
 
 # ----------------------------------------------------------------------
-# Level construction (memoized per mode/restriction)
+# Level construction
 # ----------------------------------------------------------------------
 
-#: Every level built in this process, with its parent records, so later
-#: sweeps and streams reuse them.  Each level holds the one below through
-#: `below`, so this memo does not raise the peak; the records do.  Peak
-#: RSS (CPython 3.11, x86-64 Linux, two fresh runs each): 26.3-26.4 MB for
-#: `verify --sweep conjecture3` (max-n 8), 19.4 MB for `enum --n 8` and
-#: 143.9 MB for `enum --n 9`.
-_LEVELS: dict[tuple[StreamMode, frozenset[str], int], Level] = {}
-
-
 def _level_pairs(mode: StreamMode, free_of: frozenset[str],
-                 n: int) -> Level:
-    key = (mode, free_of, n)
-    got = _LEVELS.get(key)
-    if got is not None:
-        return got
-    if n == 1:
+                 below: Optional[Level]) -> Level:
+    """The level one order above `below`, or order 1 for None."""
+    if below is None:
         single = _trusted((0,))
         # every catalog pattern has at least 3 vertices, so none filters it
-        level = Level([(canonical_code(single), single)], [], [])
-        _LEVELS[key] = level
-        return level
-    below = _level_pairs(mode, free_of, n - 1)
+        return Level([(canonical_code(single), single)], [], [])
     classes: dict[bytes, bytes] = {}
     records: list[tuple[tuple[bytes, ...], int]] = []
     for _, parent in below:
@@ -350,8 +345,8 @@ def _level_pairs(mode: StreamMode, free_of: frozenset[str],
     level = Level([(code, decode_graph6(code)) for code in codes], below,
                   records)
     if not free_of:
-        _check_count(mode, n, len(level))
-    _LEVELS[key] = level
+        # an unrestricted level is never empty, so `below` has a graph
+        _check_count(mode, below[0][1].n + 1, len(level))
     return level
 
 

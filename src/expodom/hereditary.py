@@ -38,7 +38,8 @@ values.
 A store lives as long as its caller keeps it.  Every function here that
 takes an optional `store` makes a fresh one when given none, so such a
 call keeps nothing for the next; callers that share work (the CLI's
-`verify` and `minimal`, the tests) pass one store to every call.
+`verify` and `minimal`, the tests) pass one store to every call.  A
+sweep call builds its own levels and drops them when it returns.
 """
 
 from __future__ import annotations
@@ -399,8 +400,9 @@ class SweepSpec:
             graphs: Optional[Iterable[Graph]] = None) -> VerificationReport:
         """Check every graph of the host class up to max_n.
 
-        The graphs are those of `source(max_n, graphs)`.  A call without a
-        `store` gets a fresh one and keeps nothing for the next call.
+        The graphs are those of `source(max_n, graphs)`, whose levels the
+        call owns and drops when it returns.  A call without a `store`
+        gets a fresh one, so it keeps nothing for the next call.
         """
         max_n, source = self.source(max_n, graphs)
         store = store or ParamStore()
@@ -411,14 +413,13 @@ class SweepSpec:
         for n in range(1, max_n + 1):
             # the source's canonical codes serve the store and the
             # membership memo, so no scanned graph is labeled again
-            got = source(n)
-            level = list(got)
+            level = source(n)
             counts[n] = len(level)
-            if isinstance(got, Level):
+            if isinstance(level, Level):
                 # an enumerated level knows its classes' parents: every
                 # check then finds its violator pair in the memo and
                 # recurses over no card
-                store.fill_violators(got)
+                store.fill_violators(level)
             for code, g in level:
                 self.check(g, code, store, found)
         extras = {key: list(value) for key, value in self.extras.items()}

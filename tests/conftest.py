@@ -1,11 +1,14 @@
 import random
 import shutil
 import tempfile
+from functools import cache
 
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from expodom.enumeration import MAX_CONNECTED_ORDER, MAX_TREE_ORDER, \
+    LevelSource, StreamMode, levels
 from expodom.graphs import Graph, from_edge_list
 from expodom.hereditary import ParamStore
 
@@ -45,6 +48,16 @@ def random_connected_graph(rng: random.Random, n: int,
         g = random_graph(rng, n, p)
         if is_connected(g):
             return g
+
+
+@cache
+def enumerated(mode: StreamMode,
+               free_of: tuple[str, ...] = ()) -> LevelSource:
+    """The levels of one host class, shared by the whole run as `store` is:
+    each is built once, when a test first asks for it.  A test that counts
+    what a build does makes its own source with `levels`."""
+    cap = MAX_TREE_ORDER if mode is StreamMode.TREES else MAX_CONNECTED_ORDER
+    return levels(mode, free_of, cap)
 
 
 @pytest.fixture(scope="session")

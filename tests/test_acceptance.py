@@ -22,7 +22,7 @@ from expodom.domination import (
     porous_weight_table,
     weight_table,
 )
-from expodom.enumeration import connected_graphs
+from expodom.enumeration import StreamMode
 from expodom.graphs import (
     decode_graph6,
     encode_graph6,
@@ -37,8 +37,8 @@ from expodom.hereditary import (
     is_minimal_forbidden,
 )
 from expodom.patterns import OBSTRUCTION_NAMES, catalog, find_induced, pattern
-from conftest import cycle_graph, path_graph, random_connected_graph, \
-    random_graph
+from conftest import cycle_graph, enumerated, path_graph, \
+    random_connected_graph, random_graph
 
 import oracles
 
@@ -70,7 +70,7 @@ def test_criterion_1_inequality_chain_exhaustive(store):
     with criterion(1, "parameter chain on all connected graphs n <= 8"):
         for n in range(1, 9):
             count = 0
-            for g in connected_graphs(n):
+            for _, g in enumerated(StreamMode.CONNECTED)(n):
                 count += 1
                 gamma, gamma_e, gamma_e_star = store.params(g)
                 assert gamma_e_star <= gamma_e <= gamma, encode_graph6(g)
@@ -152,14 +152,14 @@ def test_criterion_6_solver_and_matcher_oracle_equivalence(store):
     with criterion(6, "solvers and matcher agree with brute-force "
                       "references"):
         for n in range(1, 8):
-            for g in connected_graphs(n):
+            for _, g in enumerated(StreamMode.CONNECTED)(n):
                 assert domination_number(g).value == \
                     oracles.gamma_oracle(g)[0], encode_graph6(g)
 
         rng = random.Random(0xACCE5506)
         pairs = 0
         for n in range(1, 7):
-            for g in connected_graphs(n):
+            for _, g in enumerated(StreamMode.CONNECTED)(n):
                 for _ in range(7):
                     d = set(rng.sample(range(g.n),
                                        rng.randrange(1, g.n + 1)))
@@ -173,7 +173,7 @@ def test_criterion_6_solver_and_matcher_oracle_equivalence(store):
         assert pairs >= 1000
 
         for n in range(1, 7):
-            for g in connected_graphs(n):
+            for _, g in enumerated(StreamMode.CONNECTED)(n):
                 for p in catalog():
                     assert (find_induced(g, p.graph) is not None) == \
                         (oracles.find_induced_oracle(g, p.graph)
@@ -187,7 +187,7 @@ def test_criterion_6_solver_and_matcher_oracle_equivalence(store):
             by_order.setdefault(p.graph.n, []).append(
                 (p, to_networkx(p.graph)))
         for n in (7, 8):
-            for g in connected_graphs(n):
+            for _, g in enumerated(StreamMode.CONNECTED)(n):
                 gx = to_networkx(g)
                 for group in by_order.values():
                     wants = oracles.induced_nx_oracle(
@@ -237,7 +237,7 @@ def test_criterion_8_class_comparison_probe(store):
 def test_criterion_9_graph6_round_trip():
     with criterion(9, "graph6 round-trip identity, enumerated and random"):
         for n in range(1, 9):
-            for g in connected_graphs(n):
+            for _, g in enumerated(StreamMode.CONNECTED)(n):
                 assert decode_graph6(encode_graph6(g)) == g
         rng = random.Random(0xACCE5509)
         for _ in range(1000):

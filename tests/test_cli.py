@@ -456,7 +456,6 @@ class TestVerify:
         sequence, counts = enumeration._CLASS_COUNTS[mode]
         bent = counts[:n - 1] + (counts[n - 1] + 1,) + counts[n:]
         monkeypatch.setitem(enumeration._CLASS_COUNTS, mode, (sequence, bent))
-        monkeypatch.setattr(enumeration, "_LEVELS", {})
         code, out, err = run(capsys, *argv)
         assert code == 5
         assert out == ""

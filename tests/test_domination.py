@@ -19,12 +19,12 @@ from expodom.domination import (
     porous_weight_table,
     weight_table,
 )
-from expodom.enumeration import connected_graphs, trees
+from expodom.enumeration import StreamMode
 from expodom.graphs import Graph, decode_graph6, encode_graph6, \
     from_edge_list, relabel
 from expodom.patterns import catalog
-from conftest import cycle_graph, path_graph, random_connected_graph, \
-    random_graph
+from conftest import cycle_graph, enumerated, path_graph, \
+    random_connected_graph, random_graph
 
 import oracles
 
@@ -273,12 +273,12 @@ class TestLexWalk:
 
     def test_connected_graphs_to_order_7(self, rng):
         for n in range(1, 8):
-            for g in connected_graphs(n):
+            for _, g in enumerated(StreamMode.CONNECTED)(n):
                 self.check_relabeled(g, rng)
 
     def test_trees_to_order_10(self, rng):
         for n in range(1, 11):
-            for g in trees(n):
+            for _, g in enumerated(StreamMode.TREES)(n):
                 self.check_relabeled(g, rng)
 
     @pytest.mark.parametrize("code", PAST_POROUS + REWALKED)
@@ -297,9 +297,9 @@ class TestLexWalk:
             self.check(relabel(g, order))
 
     def test_values_match_compute_all(self):
-        for family, top in ((connected_graphs, 7), (trees, 11)):
+        for mode, top in ((StreamMode.CONNECTED, 7), (StreamMode.TREES, 11)):
             for n in range(1, top + 1):
-                for g in family(n):
+                for _, g in enumerated(mode)(n):
                     assert parameter_values(g) == tuple(
                         r.value for r in compute_all(g)), encode_graph6(g)
 
@@ -322,9 +322,9 @@ class TestLexWalk:
         # parameter.  Pinned from the combinations-loop solver
         digest = hashlib.sha256()
         count = 0
-        for family, top in ((connected_graphs, 7), (trees, 11)):
+        for mode, top in ((StreamMode.CONNECTED, 7), (StreamMode.TREES, 11)):
             for n in range(1, top + 1):
-                for g in family(n):
+                for _, g in enumerated(mode)(n):
                     line = " ".join(
                         [encode_graph6(g)]
                         + [f"{value}:{','.join(map(str, cert))}"
@@ -336,7 +336,8 @@ class TestLexWalk:
             "c97ce7610f8bde8fc3826fbe758f2afc87fb315d63d6327a0c6c95691a76ad24")
 
     @pytest.mark.parametrize("graphs, count, expected", [
-        (lambda: connected_graphs(8), 11117,
+        (lambda: [g for _, g in enumerated(StreamMode.CONNECTED)(8)],
+         11117,
          "7c4b5551e7be6a51f49d22a0248e3667d1f0c6699ed7d1373c156265764ce392"),
         (lambda: _random_order_20(random.Random(20)), 200,
          "4527c4114ce9cdf3a1d5744dba3af8b0fafb50e919f401eee21021a4b5b70924"),
@@ -371,8 +372,10 @@ class TestFrozenSolver:
         # the walks against their form before the packing cut, the single
         # porous walk and the layer-mask set-up: the same values and the
         # same certificates for all three parameters
-        corpus = [g for n in range(1, 8) for g in connected_graphs(n)]
-        corpus += [t for n in range(1, 13) for t in trees(n)]
+        corpus = [g for n in range(1, 8)
+                  for _, g in enumerated(StreamMode.CONNECTED)(n)]
+        corpus += [t for n in range(1, 13)
+                   for _, t in enumerated(StreamMode.TREES)(n)]
         corpus += [p.graph for p in catalog()]
         for n in range(9, 17):
             corpus += [random_graph(rng, n, p) for p in (0.15, 0.5, 0.85)]

@@ -43,6 +43,7 @@ from expodom.patterns import (
 )
 
 import oracles
+from conftest import enumerated
 
 # published isomorphism-class counts, frozen here as an external check
 CONNECTED_CLASS_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853,
@@ -51,14 +52,14 @@ TREE_CLASS_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23,
                      9: 47, 10: 106, 11: 235, 12: 551}
 
 
-#: `canonical_code` calls of `connected_graphs(7)` on an empty level memo:
-#: the order-1 graph and the candidates the augmentation filter keeps (4,160
-#: with every candidate labeled)
+#: `canonical_code` calls of one `connected_graphs(7)` call, which builds its
+#: own levels: the order-1 graph and the candidates the augmentation filter
+#: keeps (4,160 with every candidate labeled)
 KEPT_CONNECTED_7 = 1047
 
-#: `_augmented_rows` calls of `connected_graphs(7)` on an empty level memo:
-#: the candidates built and run through `_keeps` once the degree floor has
-#: rejected its masks (4,159 with every candidate built)
+#: `_augmented_rows` calls of one `connected_graphs(7)` call: the candidates
+#: built and run through `_keeps` once the degree floor has rejected its
+#: masks (4,159 with every candidate built)
 BUILT_CONNECTED_7 = 1593
 
 
@@ -124,6 +125,21 @@ class TestTreeStream:
             next(iter(trees(15)))
 
 
+class TestLevelSource:
+    @pytest.mark.parametrize("mode", list(StreamMode), ids=lambda m: m.value)
+    def test_refuses_orders_outside_its_bounds(self, monkeypatch, mode):
+        # an order below 1, or past max_n and so possibly past the stream
+        # cap, is refused before any level is built
+        def no_level(*args):
+            raise AssertionError("a level was built")
+
+        monkeypatch.setattr(enumeration, "_level_pairs", no_level)
+        source = levels(mode, (), 3)
+        for n in (0, 4, 15):
+            with pytest.raises(ValueError, match=f"^order {n} outside 1..3$"):
+                source(n)
+
+
 class TestRestrictedStream:
     def test_pruned_equals_post_filtered(self):
         names = ("P7", "F1")
@@ -163,9 +179,9 @@ class TestRestrictedStream:
         # unrestricted; at n=6 exactly one class (the caterpillar itself)
         # is excluded
         want = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 111, 7: 809}
+        source = enumerated(StreamMode.CONNECTED, OBSTRUCTION_NAMES)
         for n, count in want.items():
-            assert sum(1 for _ in connected_graphs(
-                n, free_of=OBSTRUCTION_NAMES)) == count, n
+            assert len(source(n)) == count, n
 
     def test_fully_filtered_difference(self):
         # relative to the restriction-only stream, adding the obstruction
@@ -179,10 +195,10 @@ class TestRestrictedStream:
         )
         both = tuple(RESTRICTION_NAMES) + tuple(OBSTRUCTION_NAMES)
         for n, diff_size in ((6, 1), (7, 21)):
-            restricted = {canonical_code(g)
-                          for g in connected_graphs(n, RESTRICTION_NAMES)}
-            filtered = {canonical_code(g)
-                        for g in connected_graphs(n, both)}
+            restricted = {code for code, _ in enumerated(
+                StreamMode.CONNECTED, RESTRICTION_NAMES)(n)}
+            filtered = {code for code, _ in enumerated(
+                StreamMode.CONNECTED, both)(n)}
             diff = restricted - filtered
             assert filtered <= restricted
             assert len(diff) == diff_size
@@ -194,9 +210,9 @@ class TestRestrictedStream:
     def test_triangle_restriction_level_counts(self):
         from expodom.patterns import TRIANGLE_RESTRICTION_NAMES
         want = {1: 1, 2: 1, 3: 1, 4: 3, 5: 5, 6: 13, 7: 34}
+        source = enumerated(StreamMode.CONNECTED, TRIANGLE_RESTRICTION_NAMES)
         for n, count in want.items():
-            assert sum(1 for _ in connected_graphs(
-                n, free_of=TRIANGLE_RESTRICTION_NAMES)) == count, n
+            assert len(source(n)) == count, n
 
     @pytest.mark.parametrize("mode, free_of, max_n, count, want", [
         (StreamMode.CONNECTED, RESTRICTION_NAMES, 8, 281,
@@ -216,7 +232,7 @@ class TestRestrictedStream:
         # (the unrestricted ones from the one that labeled every mask)
         digest = hashlib.sha256()
         classes = 0
-        source = levels(mode, free_of, max_n)
+        source = enumerated(mode, free_of)
         for n in range(1, max_n + 1):
             level = source(n)
             for (code, _), deck in zip(level, level.decks):
@@ -296,7 +312,7 @@ class TestOrbitPruning:
         # one mask per orbit reaches the same classes from the same
         # parents: codes and decks equal, in order
         want = all_masks_levels(mode, free_of, max_n)
-        source = levels(mode, free_of, max_n)
+        source = enumerated(mode, free_of)
         for n in range(1, max_n + 1):
             level = source(n)
             got = [(code, deck) for (code, _), deck in
@@ -306,7 +322,7 @@ class TestOrbitPruning:
     def test_connected_masks_one_per_orbit(self):
         # orbits of Aut(g) on nonempty vertex sets: 2^cycles - 1 fixed
         for n in range(1, 7):
-            for g in connected_graphs(n):
+            for _, g in enumerated(StreamMode.CONNECTED)(n):
                 kept = list(_orbit_masks(own_generators(g),
                                          range(1, 1 << n)))
                 assert kept == sorted(kept)
@@ -316,7 +332,7 @@ class TestOrbitPruning:
     def test_tree_masks_one_per_orbit(self):
         # orbits of Aut(t) on single vertices: fixed points
         for n in range(1, 10):
-            for t in trees(n):
+            for _, t in enumerated(StreamMode.TREES)(n):
                 kept = list(_orbit_masks(own_generators(t),
                                          (1 << u for u in range(n))))
                 assert kept == sorted(kept)
@@ -336,7 +352,6 @@ class TestOrbitPruning:
         bent = counts[:5] + (counts[5] + 1,) + counts[6:]
         monkeypatch.setitem(enumeration._CLASS_COUNTS, StreamMode.TREES,
                             (sequence, bent))
-        monkeypatch.setattr(enumeration, "_LEVELS", {})
         with pytest.raises(enumeration.CountGateError) as err:
             trees(6)
         assert str(err.value) == ("tree level of order 6 has 6 classes, "
@@ -359,7 +374,6 @@ class TestParentSearch:
         monkeypatch.setattr(enumeration, "_search",
                             lambda adj, *rest: searched.append(adj)
                             or _search(adj, *rest))
-        monkeypatch.setattr(enumeration, "_LEVELS", {})
         source = levels(mode, (), max_n)
         source(max_n)
         assert searched == [g.adj for n in range(1, max_n)
@@ -385,7 +399,7 @@ class TestAugmentationFilter:
 
     @STREAMS
     def test_filter_matches_networkx_oracle(self, mode, free_of, max_n):
-        source = levels(mode, free_of, max_n)
+        source = enumerated(mode, free_of)
         for n in range(1, max_n):
             for _, parent in source(n):
                 for mask in candidates(mode, free_of, parent):
@@ -397,12 +411,12 @@ class TestAugmentationFilter:
         labeled = []
         monkeypatch.setattr(enumeration, "canonical_code",
                             lambda g: labeled.append(g) or canonical_code(g))
-        monkeypatch.setattr(enumeration, "_LEVELS", {})
         assert len(connected_graphs(7)) == CONNECTED_CLASS_COUNTS[7]
         calls = len(labeled)
         kept = [sum(oracles.augmentation_filter_oracle(parent, mask)
                     for mask in candidates(StreamMode.CONNECTED, (), parent))
-                for n in range(1, 7) for parent in connected_graphs(n)]
+                for n in range(1, 7)
+                for _, parent in enumerated(StreamMode.CONNECTED)(n)]
         # the order-1 graph is labeled too
         assert calls == 1 + sum(kept) == KEPT_CONNECTED_7
 
@@ -412,7 +426,7 @@ class TestAugmentationFilter:
         # theorem1 stream to order 8: the oracle rejects every mask it
         # rejects
         for free_of, max_n in (((), 7), (RESTRICTION_NAMES, 8)):
-            source = levels(StreamMode.CONNECTED, free_of, max_n)
+            source = enumerated(StreamMode.CONNECTED, free_of)
             floored = 0
             for n in range(1, max_n):
                 for _, parent in source(n):
@@ -438,7 +452,6 @@ class TestAugmentationFilter:
         monkeypatch.setattr(enumeration, "_search",
                             lambda adj, *rest: searched.append(adj)
                             or _search(adj, *rest))
-        monkeypatch.setattr(enumeration, "_LEVELS", {})
         assert len(connected_graphs(7)) == CONNECTED_CLASS_COUNTS[7]
         assert len(built) == BUILT_CONNECTED_7
         assert len(labeled) == KEPT_CONNECTED_7
@@ -453,11 +466,12 @@ class TestAugmentationFilter:
 class TestDecks:
     def test_deck_is_the_connected_cards(self, mode, free_of, max_n):
         # each parent once, and exactly the classes of the connected cards
-        source = levels(mode, free_of, max_n)
+        source = enumerated(mode, free_of)
         for n in range(1, max_n + 1):
             level = source(n)
-            assert len(level.decks) == len(level)
-            for (code, g), deck in zip(level, level.decks):
+            decks = level.decks
+            assert len(decks) == len(level)
+            for (code, g), deck in zip(level, decks):
                 cards = {canonical_code(card) for card in
                          (without_vertex(g, v) for v in range(n))
                          if card.n and is_connected(card)}
@@ -468,8 +482,7 @@ class TestDecks:
                                           max_n):
         # every mask (every leaf mask for trees), no orbit pruning and no
         # filter: the classes of the children free of the restriction
-        monkeypatch.setattr(enumeration, "_LEVELS", {})
-        source = levels(mode, free_of, max_n)
+        source = enumerated(mode, free_of)
         built = [source(n) for n in range(1, max_n + 1)]
         labeled = []
         monkeypatch.setattr(enumeration, "canonical_code",
@@ -486,36 +499,34 @@ class TestDecks:
                         want.add(canonical_code(child))
                 before = len(labeled)
                 assert set(level.children(j)) == want, encode_graph6(parent)
-                # the first call labels each rejected candidate once
+                # each call labels each rejected candidate once
                 assert len(labeled) - before == sum(
                     not _keeps(_augmented_rows(parent.adj, mask))
                     for mask in candidates(mode, free_of, parent))
-        labeled.clear()
-        for level in built[1:]:
-            for j in range(len(level.below)):
-                level.children(j)
-        assert labeled == []
 
 
 class TestClassIndex:
     """`_ClassIndex` names a rejected child's class only by a key that one
     class of the level holds, and `children_of` builds it only when the
-    masks still to be named are at least as many as the classes."""
+    given parents' rejected masks are at least as many as the classes."""
 
     def test_names_are_the_childrens_codes(self, monkeypatch):
-        # every rejected mask of every parent, on fresh levels of the tree,
+        # every rejected mask of every parent, on the levels of the tree,
         # theorem1, corollary1 and connected streams: a named child's name
         # is its canonical code, some keys are shared (so the labeling
         # fallback runs), and children_of returns, byte for byte, the kept
         # codes followed by the rejected children's codes in mask order
-        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        indexed = []
+        monkeypatch.setattr(enumeration, "_ClassIndex",
+                            lambda level: indexed.append(level)
+                            or _ClassIndex(level))
         named = shared = 0
         for mode, free_of, max_n in (
                 (StreamMode.TREES, (), 12),
                 (StreamMode.CONNECTED, RESTRICTION_NAMES, 9),
                 (StreamMode.CONNECTED, TRIANGLE_RESTRICTION_NAMES, 9),
                 (StreamMode.CONNECTED, (), 7)):
-            source = levels(mode, free_of, max_n)
+            source = enumerated(mode, free_of)
             for n in range(2, max_n + 1):
                 level = source(n)
                 index = _ClassIndex(level)
@@ -535,21 +546,10 @@ class TestClassIndex:
                         masks += 1
                     want.append(codes)
                 parents = range(len(level.below))
+                indexed.clear()
                 assert level.children_of(parents) == want
-                assert (level._index is not None) == (masks >= len(level))
+                assert indexed == ([level] if masks >= len(level) else [])
         assert named and shared
-
-    def test_index_is_built_once(self, monkeypatch):
-        # children_of counts only the masks not yet named: a second call
-        # names nothing and leaves the index as it is
-        monkeypatch.setattr(enumeration, "_LEVELS", {})
-        level = levels(StreamMode.TREES, (), 11)(11)
-        parents = range(len(level.below))
-        first = level.children_of(parents)
-        index = level._index
-        assert index is not None
-        assert level.children_of(parents) == first
-        assert level._index is index
 
 
 class TestGraph6Stream:

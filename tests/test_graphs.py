@@ -29,9 +29,9 @@ from expodom.graphs import (
 )
 from expodom.domination import constrained_distance, is_dominating, \
     is_exponential_dominating, porous_weight_table, weight_table
-from expodom.enumeration import _augment, connected_graphs, trees
+from expodom.enumeration import StreamMode, _augment
 from expodom.patterns import catalog
-from conftest import FUZZ, cycle_graph, path_graph, \
+from conftest import FUZZ, cycle_graph, enumerated, path_graph, \
     random_connected_graph, random_graph
 
 from oracles import plain_distance_oracle, search_oracle
@@ -243,7 +243,8 @@ class TestComponents:
             assert is_connected(g) == (len(want) <= 1)
 
     def test_cut_vertices_match_networkx(self, rng):
-        graphs = [g for n in range(1, 8) for g in connected_graphs(n)]
+        graphs = [g for n in range(1, 8)
+                  for _, g in enumerated(StreamMode.CONNECTED)(n)]
         graphs += [random_connected_graph(rng, rng.randint(2, 12),
                                           rng.choice((0.2, 0.35)))
                    for _ in range(200)]
@@ -392,7 +393,7 @@ class TestCanonical:
         digest = hashlib.sha256()
         calls = 0
         for n in range(1, 8):
-            for g in connected_graphs(n):
+            for _, g in enumerated(StreamMode.CONNECTED)(n):
                 for mask in range(1, 1 << n):
                     digest.update(canonical_code(_augment(g, mask)) + b"\n")
                     calls += 1
@@ -404,8 +405,10 @@ class TestCanonical:
         # the labeling kernel against its earlier form: the same columns
         # and the same generator sets, and the order it returns names the
         # canonical form's vertices
-        corpus = [g for n in range(1, 8) for g in connected_graphs(n)]
-        corpus += [t for n in range(1, 13) for t in trees(n)]
+        corpus = [g for n in range(1, 8)
+                  for _, g in enumerated(StreamMode.CONNECTED)(n)]
+        corpus += [t for n in range(1, 13)
+                   for _, t in enumerated(StreamMode.TREES)(n)]
         corpus += [p.graph for p in catalog()]
         for n in range(1, 17):
             corpus += [random_graph(rng, n, p) for p in (0.15, 0.5, 0.85)]
@@ -433,7 +436,8 @@ class TestCanonical:
             assert relabel(g, order) == canonical_graph(g)
 
     def test_search_generators_are_automorphisms(self, rng):
-        graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
+        graphs = [g for n in range(1, 7)
+                  for _, g in enumerated(StreamMode.CONNECTED)(n)]
         graphs += [random_graph(rng, 9, p) for p in (0.2, 0.5, 0.8)
                    for _ in range(20)]
         graphs += [cycle_graph(9), from_edge_list(5, [(0, 1), (2, 3)]),

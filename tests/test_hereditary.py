@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import sys
 
 import pytest
 
@@ -10,10 +11,10 @@ from expodom.cache import ResultsCache
 from expodom.domination import parameter_values
 from expodom.enumeration import (
     StreamMode,
+    _ClassIndex,
     connected_graphs,
     levels,
     levels_from_graphs,
-    trees,
 )
 from expodom.graphs import (
     SizeCapError,
@@ -43,7 +44,8 @@ from expodom.patterns import (
     TRIANGLE_RESTRICTION_NAMES,
     pattern,
 )
-from conftest import cycle_graph, path_graph, random_connected_graph
+from conftest import cycle_graph, enumerated, path_graph, \
+    random_connected_graph
 from oracles import augmentation_filter_oracle, min_violators_oracle
 
 # canonical graph6 of the seven obstruction classes
@@ -133,7 +135,7 @@ class TestMembership:
             return memo[code]
 
         for n in range(1, 7):
-            for g in connected_graphs(n):
+            for _, g in enumerated(StreamMode.CONNECTED)(n):
                 expected = True
                 for k in range(1, g.n + 1):
                     for sub in itertools.combinations(range(g.n), k):
@@ -190,14 +192,14 @@ STREAMS = pytest.mark.parametrize("mode, free_of, max_n", [
 ], ids=["connected7", "restricted8", "trees11"])
 
 
-#: `enumeration.canonical_code` calls of a `conjecture3` sweep to order 7 on
-#: an empty level memo and a fresh store: the order-1 graph, the kept
+#: `enumeration.canonical_code` calls of a `conjecture3` sweep to order 7,
+#: which builds its own levels, on a fresh store: the order-1 graph, the kept
 #: candidates, and the rejected candidates of the nonmember parents (4,160
 #: with every candidate labeled)
 LABELED_CONJECTURE3_7 = 1062
 
-#: `enumeration.canonical_code` calls of a `corollary2` sweep to order 11 on
-#: an empty level memo and a fresh store: the order-1 graph, the kept
+#: `enumeration.canonical_code` calls of a `corollary2` sweep to order 11,
+#: which builds its own levels, on a fresh store: the order-1 graph, the kept
 #: candidates, and the rejected children of the nonmember parents on the
 #: levels below 10, which build no class index (1,099 with every rejected
 #: child of a nonmember parent labeled)
@@ -215,7 +217,7 @@ class TestConnectedCardRecursion:
 
     @STREAMS
     def test_every_class(self, store, reference, mode, free_of, max_n):
-        source = levels(mode, free_of, max_n)
+        source = enumerated(mode, free_of)
         for n in range(1, max_n + 1):
             for code, g in source(n):
                 assert store.violators(g, code) == reference(g), \
@@ -225,7 +227,7 @@ class TestConnectedCardRecursion:
     def test_every_class_from_decks(self, reference, monkeypatch, mode,
                                     free_of, max_n):
         fresh = ParamStore()
-        source = levels(mode, free_of, max_n)
+        source = enumerated(mode, free_of)
         for n in range(1, max_n + 1):
             fresh.fill_violators(source(n))
 
@@ -245,12 +247,11 @@ class TestConnectedCardRecursion:
         labeled = []
         monkeypatch.setattr(enumeration, "canonical_code",
                             lambda g: labeled.append(g) or canonical_code(g))
-        monkeypatch.setattr(enumeration, "_LEVELS", {})
         SWEEPS["conjecture3"].run(7, store=ParamStore())
         calls = len(labeled)
         want = 1
         for n in range(1, 7):
-            for parent in connected_graphs(n):
+            for _, parent in enumerated(StreamMode.CONNECTED)(n):
                 generators: set[tuple[int, ...]] = set()
                 _search(parent.adj, generators)
                 masks = list(enumeration._orbit_masks(generators,
@@ -271,16 +272,16 @@ class TestConnectedCardRecursion:
         labeled = []
         monkeypatch.setattr(enumeration, "canonical_code",
                             lambda g: labeled.append(g) or canonical_code(g))
-        monkeypatch.setattr(enumeration, "_LEVELS", {})
+        indexed = []
+        monkeypatch.setattr(enumeration, "_ClassIndex",
+                            lambda level: indexed.append(level[0][1].n)
+                            or _ClassIndex(level))
         SWEEPS["corollary2"].run(11, store=ParamStore())
         assert len(labeled) == LABELED_COROLLARY2_11
-        indexed = sorted(n for (_, _, n), level in enumeration._LEVELS.items()
-                         if level._index is not None)
         assert indexed == [10, 11]
-        enumeration._LEVELS.clear()
+        indexed.clear()
         SWEEPS["conjecture3"].run(7, store=ParamStore())
-        assert all(level._index is None
-                   for level in enumeration._LEVELS.values())
+        assert indexed == []
 
     def test_recursion_builds_only_connected_cards(self, store, rng,
                                                     monkeypatch):
@@ -294,7 +295,8 @@ class TestConnectedCardRecursion:
 
         monkeypatch.setattr(hereditary, "without_vertex", recorded)
         graphs = [obstruction(name) for name in OBSTRUCTION_NAMES]
-        graphs += [g for n in range(1, 11) for g in trees(n)]
+        graphs += [g for n in range(1, 11)
+                   for _, g in enumerated(StreamMode.TREES)(n)]
         graphs += [random_connected_graph(rng, rng.randint(6, 9))
                    for _ in range(100)]
         fresh, memo = ParamStore(), {}
@@ -504,7 +506,7 @@ class TestExternalSource:
         # every connected graph, so the host-class filter has work to do
         graphs = []
         for n in range(1, 7):
-            for g in connected_graphs(n):
+            for _, g in enumerated(StreamMode.CONNECTED)(n):
                 order = list(range(g.n))
                 rng.shuffle(order)
                 graphs.append(relabel(g, order))
@@ -512,7 +514,7 @@ class TestExternalSource:
         graphs.append(from_edge_list(4, [(0, 1), (2, 3)]))  # dropped
         rng.shuffle(graphs)
         source = levels_from_graphs(graphs, 6, free_of, mode)
-        internal = levels(mode, free_of, 6)
+        internal = enumerated(mode, free_of)
         for n in range(1, 7):
             assert source(n) == internal(n)
 
@@ -524,9 +526,8 @@ class TestExternalSource:
         # each run on its own store, so the external source's card
         # recursion meets the enumeration's deck path report for report
         spec = SWEEPS[name]
-        stream = trees if spec.stream is StreamMode.TREES else \
-            connected_graphs
-        graphs = [g for n in range(1, max_n + 1) for g in stream(n)]
+        graphs = [g for n in range(1, max_n + 1)
+                  for _, g in enumerated(spec.stream)(n)]
         rng.shuffle(graphs)
         source = levels_from_graphs(graphs, max_n, spec.restriction,
                                     spec.stream)
@@ -589,7 +590,7 @@ class TestUndecidedClassesOnly:
         fresh = ParamStore()
         assert SWEEPS["corollary2"].run(max_n=11, store=fresh).verified
         assert len(solved) == SOLVED_COROLLARY2_11
-        source = levels(StreamMode.TREES, (), 11)
+        source = enumerated(StreamMode.TREES)
         for n in range(1, 12):
             for code, g in source(n):
                 # unsolved exactly when both kinds have a smaller violator
@@ -614,6 +615,33 @@ class TestStoreLifetime:
             counts.append(len(solved))
         # P7 and its six connected induced subgraph classes, P1 to P6
         assert counts == [SOLVED_COROLLARY2_11] * 2 + [7] * 2
+
+    def test_no_per_run_state_outlives_a_call(self, monkeypatch):
+        # a sweep builds its own levels, so a second run labels as much as
+        # the first, and neither it nor an enumeration call leaves anything
+        # in a module-level container
+        labeled = []
+        monkeypatch.setattr(enumeration, "canonical_code",
+                            lambda g: labeled.append(g) or canonical_code(g))
+        modules = [module for name, module in sys.modules.items()
+                   if name.split(".")[0] == "expodom"]
+
+        def sizes():
+            return {(module.__name__, name): len(value)
+                    for module in modules
+                    for name, value in vars(module).items()
+                    if isinstance(value, (dict, list, set))
+                    and name != "__builtins__"}
+
+        before = sizes()
+        counts = []
+        for _ in range(2):
+            labeled.clear()
+            SWEEPS["corollary2"].run(11, ParamStore())
+            counts.append(len(labeled))
+        assert counts == [LABELED_COROLLARY2_11] * 2
+        connected_graphs(6)
+        assert sizes() == before
 
     def test_no_module_level_store(self):
         modules = [value for value in vars(expodom).values()

@@ -6,8 +6,7 @@ from functools import cache
 import networkx as nx
 import pytest
 
-from expodom.enumeration import StreamMode, _augment, connected_graphs, \
-    levels, trees
+from expodom.enumeration import StreamMode, _augment, levels
 from expodom.graphs import canonical_code, from_edge_list, girth, \
     encode_graph6, relabel, without_vertex
 from expodom.patterns import (
@@ -27,8 +26,8 @@ from expodom.patterns import (
     pattern_names,
     verify_catalog,
 )
-from conftest import cycle_graph, path_graph, random_connected_graph, \
-    random_graph
+from conftest import cycle_graph, enumerated, path_graph, \
+    random_connected_graph, random_graph
 
 import oracles
 
@@ -156,7 +155,7 @@ class TestFindInduced:
         digest = hashlib.sha256()
         calls = 0
         for n in range(1, 8):
-            for g in connected_graphs(n):
+            for _, g in enumerated(StreamMode.CONNECTED)(n):
                 code = encode_graph6(g)
                 for p in catalog():
                     digest.update(
@@ -171,7 +170,8 @@ class TestFindInduced:
         rng = random.Random(6)
         other = random_connected_graph(rng, 6)
         hosts = [random_graph(rng, 7, 0.5) for _ in range(300)]
-        hosts += [g for n in range(1, 7) for g in connected_graphs(n)]
+        hosts += [g for n in range(1, 7)
+                  for _, g in enumerated(StreamMode.CONNECTED)(n)]
         for p in (cycle_graph(5), other):
             for host in hosts:
                 hit = find_induced(host, p)
@@ -303,8 +303,9 @@ def symmetry_hosts(max_connected: int, max_tree: int,
     G(n, p) graphs to order `max_random`."""
     rng = random.Random(28)
     hosts = [g for n in range(1, max_connected + 1)
-             for g in connected_graphs(n)]
-    hosts += [g for n in range(1, max_tree + 1) for g in trees(n)]
+             for _, g in enumerated(StreamMode.CONNECTED)(n)]
+    hosts += [g for n in range(1, max_tree + 1)
+              for _, g in enumerated(StreamMode.TREES)(n)]
     hosts += [random_graph(rng, n, p) for n in range(1, max_random + 1)
               for p in (0.2, 0.35, 0.5) for _ in range(4)]
     return tuple(hosts)
